@@ -12,18 +12,13 @@ fn service(cache: usize) -> GSacs {
     let mut repo = OntoRepository::new();
     repo.register("grdf", grdf_ontology());
     repo.register("seconto", grdf_security::ontology::security_ontology());
-    let svc = GSacs::new(
+    GSacs::new(
         repo,
         scenario_policies(),
         Box::<OwlHorstEngine>::default(),
         incident_graph(100, 100, 17),
         cache,
-    );
-    // Pre-build role views so the sweep measures request handling.
-    for role in [roles::main_repair(), roles::hazmat(), roles::emergency()] {
-        let _ = svc.view_for(&role);
-    }
-    svc
+    )
 }
 
 fn bench_request_stream(c: &mut Criterion) {

@@ -566,11 +566,6 @@ fn e6_gsacs(report: &mut Report) {
                 seed: 23,
                 ..Default::default()
             });
-            // Warm the per-role views outside the timed section (view
-            // construction is measured in E5).
-            for role in [roles::main_repair(), roles::hazmat(), roles::emergency()] {
-                let _ = svc.view_for(&role);
-            }
             let t = Instant::now();
             for r in &reqs {
                 svc.handle(&ClientRequest {

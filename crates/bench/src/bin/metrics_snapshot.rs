@@ -16,7 +16,7 @@
 //!   two previously written snapshots. Exits 2 with an explanation when
 //!   the files carry different run ids.
 
-use grdf_bench::{incident_graph, roles, scenario_policies};
+use grdf_bench::{incident_graph, scenario_policies};
 use grdf_core::ontology::grdf_ontology;
 use grdf_obs::{MetricsSnapshot, Obs};
 use grdf_security::gsacs::{ClientRequest, GSacs, OntoRepository, OwlHorstEngine};
@@ -57,12 +57,8 @@ fn main() {
         64,
         config,
     );
-    // Pre-build role views so the delta measures request handling, then
-    // baseline *after* construction: the snapshot attributes only the
+    // Baseline *after* construction: the snapshot attributes only the
     // workload itself.
-    for role in [roles::main_repair(), roles::hazmat(), roles::emergency()] {
-        let _ = svc.view_for(&role);
-    }
     let baseline = obs.registry().snapshot().with_run_id(run_id);
     let requests: Vec<ClientRequest> = generate_requests(&RequestConfig {
         count: 200,

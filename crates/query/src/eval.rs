@@ -1,17 +1,19 @@
 //! Query evaluation: BGP joins, filters, optional/union, solution
 //! modifiers, and the three result forms.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use grdf_rdf::graph::Graph;
+use grdf_rdf::graph::{Graph, TermId};
+use grdf_rdf::labels::ScanMask;
 use grdf_rdf::term::{Term, Triple};
 use grdf_runtime::{Deadline, DeadlineExceeded};
 
 use crate::ast::{Expr, Order, Pattern, Query, QueryKind, TermOrVar, TriplePattern};
 use crate::parser::{parse_query, ParseError};
-use crate::spatial::{feature_distance, feature_envelope};
+use crate::spatial::{distance_with, envelope_with};
 
 /// One solution: variable name → bound term.
 pub type Bindings = BTreeMap<String, Term>;
@@ -109,11 +111,139 @@ pub fn execute_with_deadline(
     query_text: &str,
     deadline: &Deadline,
 ) -> Result<QueryResult, QueryError> {
-    let q = {
-        let _span = grdf_obs::span("query.parse");
-        parse_query(query_text)?
-    };
-    execute_query_with_deadline(graph, &q, deadline)
+    execute_query_with_deadline(graph, &parse_traced(query_text)?, deadline)
+}
+
+fn parse_traced(query_text: &str) -> Result<Query, QueryError> {
+    let _span = grdf_obs::span("query.parse");
+    Ok(parse_query(query_text)?)
+}
+
+/// Parse and execute `query_text` over the triples of `graph` that `mask`
+/// shows — the secure serving path. The whole served graph is evaluated
+/// and every triple the evaluator reads (BGP scans, merge joins, property
+/// paths, `EXISTS`, the spatial builtins) is tested against the mask, so
+/// the answer equals evaluating over the masked subgraph. Also returns how
+/// many visible triples the evaluation read. Hidden triples are not
+/// counted, so the figure depends only on what the mask shows and cannot
+/// be used to probe hidden data.
+pub fn execute_masked(
+    graph: &Graph,
+    mask: &ScanMask<'_>,
+    query_text: &str,
+    deadline: &Deadline,
+) -> Result<(QueryResult, u64), QueryError> {
+    let q = parse_traced(query_text)?;
+    let src = Source::new(graph, Some(mask));
+    let result = run_query(&src, &q, deadline)?;
+    Ok((result, src.examined.get()))
+}
+
+/// What an evaluation reads: a graph, optionally behind a label mask.
+/// Every triple read goes through here, so the mask cannot be bypassed by
+/// any operator, and `examined` counts the visible triples read.
+struct Source<'a> {
+    graph: &'a Graph,
+    mask: Option<&'a ScanMask<'a>>,
+    examined: Cell<u64>,
+}
+
+impl<'a> Source<'a> {
+    fn new(graph: &'a Graph, mask: Option<&'a ScanMask<'a>>) -> Source<'a> {
+        Source {
+            graph,
+            mask,
+            examined: Cell::new(0),
+        }
+    }
+
+    #[inline]
+    fn visible(&self, s: TermId, p: TermId) -> bool {
+        self.mask.is_none_or(|m| m.visible(s, p))
+    }
+
+    fn charge(&self, n: u64) {
+        self.examined.set(self.examined.get() + n);
+    }
+
+    /// [`Graph::for_each_match_ids`] over the visible triples.
+    fn for_each_ids(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        mut f: impl FnMut(TermId, TermId, TermId),
+    ) {
+        let mut n = 0;
+        self.graph.for_each_match_ids(s, p, o, |s, p, o| {
+            if self.visible(s, p) {
+                n += 1;
+                f(s, p, o);
+            }
+        });
+        self.charge(n);
+    }
+
+    /// How many visible triples match the id pattern, counting no further
+    /// than `cap` — a planning statistic, not charged.
+    fn visible_count(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        cap: usize,
+    ) -> usize {
+        if let (Some(sid), Some(pid)) = (s, p) {
+            // A triple's visibility depends only on its subject and
+            // predicate: the range is all visible or all hidden.
+            return if self.visible(sid, pid) {
+                self.graph.estimate_ids(s, p, o).min(cap)
+            } else {
+                0
+            };
+        }
+        let mut n = 0;
+        if cap > 0 {
+            self.graph.for_each_match_ids_while(s, p, o, |s, p, _| {
+                n += usize::from(self.visible(s, p));
+                n < cap
+            });
+        }
+        n
+    }
+
+    /// [`Graph::for_each_match`] over the visible triples.
+    fn for_each(
+        &self,
+        s: Option<&Term>,
+        p: Option<&Term>,
+        o: Option<&Term>,
+        mut f: impl FnMut(Triple),
+    ) {
+        let id = |t: Option<&Term>| match t {
+            None => Some(None),
+            Some(t) => self.graph.term_id(t).map(Some),
+        };
+        // An unknown bound term matches nothing.
+        let (Some(s), Some(p), Some(o)) = (id(s), id(p), id(o)) else {
+            return;
+        };
+        let g = self.graph;
+        self.for_each_ids(s, p, o, |s, p, o| {
+            f(Triple::new(
+                g.term_of(s).clone(),
+                g.term_of(p).clone(),
+                g.term_of(o).clone(),
+            ));
+        });
+    }
+
+    /// The visible objects of `(s, p, ?)`.
+    fn objects(&self, s: &Term, p: &Term) -> Vec<Term> {
+        let mut out = Vec::new();
+        self.for_each(Some(s), Some(p), None, |t| out.push(t.object));
+        out
+    }
 }
 
 /// Sort rows in place by the ORDER BY keys.
@@ -157,7 +287,15 @@ pub fn execute_query_with_deadline(
     query: &Query,
     deadline: &Deadline,
 ) -> Result<QueryResult, QueryError> {
-    let raw = eval_pattern(graph, &query.pattern, vec![Bindings::new()], deadline)?;
+    run_query(&Source::new(graph, None), query, deadline)
+}
+
+fn run_query(
+    src: &Source<'_>,
+    query: &Query,
+    deadline: &Deadline,
+) -> Result<QueryResult, QueryError> {
+    let raw = eval_pattern(src, &query.pattern, vec![Bindings::new()], deadline)?;
 
     // Aggregate queries: grouping happens first; ORDER/OFFSET/LIMIT apply
     // to the aggregated rows.
@@ -327,13 +465,13 @@ fn resolve(t: &TermOrVar, b: &Bindings) -> Option<Term> {
 }
 
 fn eval_pattern(
-    graph: &Graph,
+    src: &Source<'_>,
     pattern: &Pattern,
     input: Vec<Bindings>,
     deadline: &Deadline,
 ) -> Result<Vec<Bindings>, DeadlineExceeded> {
     match pattern {
-        Pattern::Bgp(triples) => eval_bgp(graph, triples, input, deadline),
+        Pattern::Bgp(triples) => eval_bgp(src, triples, input, deadline),
         Pattern::Path {
             subject,
             path,
@@ -344,7 +482,7 @@ fn eval_pattern(
                 deadline.check()?;
                 let s = resolve(subject, &binding);
                 let o = resolve(object, &binding);
-                for (ps, po) in path_pairs(graph, path, s.as_ref(), o.as_ref(), deadline)? {
+                for (ps, po) in path_pairs(src, path, s.as_ref(), o.as_ref(), deadline)? {
                     let mut b = binding.clone();
                     if bind(&mut b, subject, &ps) && bind(&mut b, object, &po) {
                         out.push(b);
@@ -356,7 +494,7 @@ fn eval_pattern(
         Pattern::Group(parts) => {
             let mut acc = input;
             for part in parts {
-                acc = eval_pattern(graph, part, acc, deadline)?;
+                acc = eval_pattern(src, part, acc, deadline)?;
             }
             Ok(acc)
         }
@@ -364,7 +502,7 @@ fn eval_pattern(
             let mut out = Vec::new();
             for b in input {
                 deadline.check()?;
-                let extended = eval_pattern(graph, inner, vec![b.clone()], deadline)?;
+                let extended = eval_pattern(src, inner, vec![b.clone()], deadline)?;
                 if extended.is_empty() {
                     out.push(b);
                 } else {
@@ -374,15 +512,15 @@ fn eval_pattern(
             Ok(out)
         }
         Pattern::Union(l, r) => {
-            let mut out = eval_pattern(graph, l, input.clone(), deadline)?;
-            out.extend(eval_pattern(graph, r, input, deadline)?);
+            let mut out = eval_pattern(src, l, input.clone(), deadline)?;
+            out.extend(eval_pattern(src, r, input, deadline)?);
             Ok(out)
         }
         Pattern::Filter(e) => {
             let rows: Vec<Bindings> = input
                 .into_iter()
                 .filter(|b| {
-                    eval_expr(graph, e, b, deadline).and_then(EvalValue::truthy) == Some(true)
+                    eval_expr(src, e, b, deadline).and_then(EvalValue::truthy) == Some(true)
                 })
                 .collect();
             // EXISTS/NOT EXISTS sub-evaluation swallows expiry into a
@@ -444,7 +582,7 @@ fn plan_bgp<'a>(
 }
 
 fn eval_bgp(
-    graph: &Graph,
+    src: &Source<'_>,
     triples: &[TriplePattern],
     input: Vec<Bindings>,
     deadline: &Deadline,
@@ -453,7 +591,7 @@ fn eval_bgp(
     // are interned once, the join works on `TermId` rows, and terms are
     // cloned only when the surviving rows materialize back to bindings.
     if input.len() == 1 && input[0].is_empty() && !triples.is_empty() {
-        return eval_bgp_ids(graph, triples, deadline);
+        return eval_bgp_ids(src, triples, deadline);
     }
     // Input bindings also count as bound, conservatively using the first
     // solution's keys.
@@ -464,7 +602,18 @@ fn eval_bgp(
         .unwrap_or_default();
     let order = {
         let _span = grdf_obs::span("query.plan");
-        plan_bgp(graph, triples, bound_vars)
+        if src.mask.is_some() {
+            let Some((pats, vars)) = lower_bgp(src.graph, triples) else {
+                return Ok(Vec::new()); // an unknown constant matches nothing
+            };
+            let bound = vars.iter().map(|v| bound_vars.contains(v)).collect();
+            plan_visible(src, &pats, bound)
+                .into_iter()
+                .map(|i| &triples[i])
+                .collect()
+        } else {
+            plan_bgp(src.graph, triples, bound_vars)
+        }
     };
 
     let _span = grdf_obs::span("query.join");
@@ -472,7 +621,7 @@ fn eval_bgp(
         let mut next = Vec::new();
         for binding in &solutions {
             deadline.check()?;
-            match_one(graph, pattern, binding, &mut next);
+            match_one(src, pattern, binding, &mut next);
         }
         solutions = next;
         if solutions.is_empty() {
@@ -503,9 +652,21 @@ impl IdPattern {
     fn slots(&self) -> [Slot; 3] {
         [self.s, self.p, self.o]
     }
-}
 
-use grdf_rdf::graph::TermId;
+    /// The constant ids, `None` at variable positions.
+    fn consts(&self) -> [Option<TermId>; 3] {
+        self.slots().map(|s| match s {
+            Slot::Const(id) => Some(id),
+            Slot::Var(_) => None,
+        })
+    }
+
+    /// Exact whole-graph match count of the constant positions.
+    fn estimate(&self, graph: &Graph) -> usize {
+        let [s, p, o] = self.consts();
+        graph.estimate_ids(s, p, o)
+    }
+}
 
 /// Lower a BGP to id patterns plus the variable name table. `None` means
 /// some constant term was never interned by this graph, so the
@@ -534,55 +695,127 @@ fn lower_bgp(graph: &Graph, triples: &[TriplePattern]) -> Option<(Vec<IdPattern>
     Some((pats, vars))
 }
 
-/// Greedy plan over lowered patterns. Cardinality comes from the exact
-/// index ranges ([`Graph::estimate`] semantics) and, for patterns joined
-/// through an already-bound variable on a constant predicate, is refined
-/// by the per-predicate run statistics to the expected per-probe fan-out
-/// (`triples / distinct key values`) — a chain probe over a functional
-/// property scores far below its raw triple count.
-fn plan_ids(graph: &Graph, pats: &[IdPattern], nvars: usize) -> Vec<usize> {
-    let term = |slot: Slot| match slot {
-        Slot::Const(id) => Some(graph.term_of(id)),
-        Slot::Var(_) => None,
-    };
-    let mut bound = vec![false; nvars];
+/// The greedy join order [`plan_ids`] and [`plan_visible`] share:
+/// repeatedly take, among the remaining patterns connected to an
+/// already-bound variable (all of them when none is, so the join stays a
+/// chain of index probes instead of a cross product), the one `pick`
+/// chooses from those candidates (given in input order, with the bound
+/// variables), then bind its variables.
+fn greedy_order(
+    pats: &[IdPattern],
+    mut bound: Vec<bool>,
+    mut pick: impl FnMut(&[usize], &[bool]) -> usize,
+) -> Vec<usize> {
     let mut remaining: Vec<usize> = (0..pats.len()).collect();
     let mut order = Vec::with_capacity(pats.len());
     while !remaining.is_empty() {
-        let (idx, _) = remaining
+        let connected: Vec<usize> = remaining
             .iter()
-            .enumerate()
-            .map(|(i, &pi)| {
-                let pat = &pats[pi];
-                let connected = pat
+            .copied()
+            .filter(|&i| {
+                pats[i]
                     .slots()
                     .iter()
-                    .any(|s| matches!(s, Slot::Var(v) if bound[*v]));
-                let mut card = graph.estimate(term(pat.s), term(pat.p), term(pat.o));
-                if connected {
-                    if let Slot::Const(p) = pat.p {
-                        let st = graph.pred_stats(p);
-                        let fan_out = |keys: usize| (st.triples / keys.max(1)).max(1);
-                        if matches!(pat.s, Slot::Var(v) if bound[v]) {
-                            card = card.min(fan_out(st.distinct_subjects));
-                        } else if matches!(pat.o, Slot::Var(v) if bound[v]) {
-                            card = card.min(fan_out(st.distinct_objects));
-                        }
-                    }
-                }
-                (i, (!connected, card))
+                    .any(|s| matches!(s, Slot::Var(v) if bound[*v]))
             })
-            .min_by_key(|&(_, key)| key)
-            .expect("non-empty");
-        let pi = remaining.remove(idx);
-        for s in pats[pi].slots() {
+            .collect();
+        let candidates = if connected.is_empty() {
+            &remaining
+        } else {
+            &connected
+        };
+        let chosen = match candidates[..] {
+            [only] => only,
+            _ => pick(candidates, &bound),
+        };
+        remaining.retain(|&i| i != chosen);
+        for s in pats[chosen].slots() {
             if let Slot::Var(v) = s {
                 bound[v] = true;
             }
         }
-        order.push(pi);
+        order.push(chosen);
     }
     order
+}
+
+/// Greedy plan over lowered patterns ([`greedy_order`]). Cardinality
+/// comes from the exact index ranges ([`Graph::estimate`] semantics) and,
+/// for patterns joined through an already-bound variable on a constant
+/// predicate, is refined by the per-predicate run statistics to the
+/// expected per-probe fan-out (`triples / distinct key values`) — a chain
+/// probe over a functional property scores far below its raw triple count.
+fn plan_ids(graph: &Graph, pats: &[IdPattern], nvars: usize) -> Vec<usize> {
+    greedy_order(pats, vec![false; nvars], |candidates, bound| {
+        let score = |pat: &IdPattern| {
+            let mut card = pat.estimate(graph);
+            let bound_key = |slot: Slot| matches!(slot, Slot::Var(v) if bound[v]);
+            if let Slot::Const(p) = pat.p {
+                if bound_key(pat.s) || bound_key(pat.o) {
+                    let st = graph.pred_stats(p);
+                    let keys = if bound_key(pat.s) {
+                        st.distinct_subjects
+                    } else {
+                        st.distinct_objects
+                    };
+                    card = card.min((st.triples / keys.max(1)).max(1));
+                }
+            }
+            card
+        };
+        *candidates
+            .iter()
+            .min_by_key(|&&i| score(&pats[i]))
+            .expect("candidates are non-empty")
+    })
+}
+
+/// The join order of a masked evaluation. [`plan_ids`] and [`plan_bgp`]
+/// score patterns with whole-graph statistics, which count hidden triples:
+/// an order taken from them would let data the role cannot see decide
+/// which visible triples a request reads, and so what it is charged
+/// (`gsacs.scanned`). Here ([`greedy_order`]) a candidate scores its
+/// number of *visible* matches over its constant positions, ties broken
+/// by input order, so the order, like the charge, is a function of the
+/// visible subgraph alone. Visible counts are taken lazily and only as
+/// far as a comparison needs; whole-graph estimates merely decide which
+/// candidate is counted first.
+fn plan_visible(src: &Source<'_>, pats: &[IdPattern], bound: Vec<bool>) -> Vec<usize> {
+    // Per pattern: the visible matches counted so far, and whether the
+    // count is complete (otherwise it is a lower bound).
+    let mut counted: Vec<(usize, bool)> = vec![(0, false); pats.len()];
+    let mut count = |i: usize, cap: usize| -> usize {
+        let (n, exact) = counted[i];
+        if exact || n >= cap {
+            return n;
+        }
+        let [s, p, o] = pats[i].consts();
+        let n = src.visible_count(s, p, o, cap);
+        counted[i] = (n, n < cap);
+        n
+    };
+    greedy_order(pats, bound, |candidates, _| {
+        let mut by_estimate = candidates.to_vec();
+        by_estimate.sort_by_key(|&i| (pats[i].estimate(src.graph), i));
+        // The running minimum of (visible count, input index); its count
+        // is exact. A later candidate is counted only up to the count it
+        // must stay under to win, so a count it returns at that cap is a
+        // lower bound that loses.
+        let mut best: Option<(usize, usize)> = None;
+        for i in by_estimate {
+            let n = match best {
+                // A pattern with no visible match empties the join, and
+                // reads nothing, whichever such pattern runs first.
+                Some((_, 0)) => break,
+                None => count(i, usize::MAX),
+                Some((b, nb)) => count(i, nb + usize::from(i < b)),
+            };
+            if best.is_none_or(|(b, nb)| (n, i) < (nb, b)) {
+                best = Some((i, n));
+            }
+        }
+        best.expect("candidates are non-empty").0
+    })
 }
 
 /// First index in `col[lo..]` holding a value `>= key` (strict=false) or
@@ -611,16 +844,21 @@ fn gallop(col: &[TermId], lo: usize, key: TermId, strict: bool) -> usize {
 /// falls back to per-row sorted index probes. Terms materialize once at
 /// the end.
 fn eval_bgp_ids(
-    graph: &Graph,
+    src: &Source<'_>,
     triples: &[TriplePattern],
     deadline: &Deadline,
 ) -> Result<Vec<Bindings>, DeadlineExceeded> {
+    let graph = src.graph;
     let Some((pats, vars)) = lower_bgp(graph, triples) else {
         return Ok(Vec::new()); // an unknown constant matches nothing
     };
     let order = {
         let _span = grdf_obs::span("query.plan");
-        plan_ids(graph, &pats, vars.len())
+        if src.mask.is_some() {
+            plan_visible(src, &pats, vec![false; vars.len()])
+        } else {
+            plan_ids(graph, &pats, vars.len())
+        }
     };
 
     let _span = grdf_obs::span("query.join");
@@ -707,6 +945,7 @@ fn eval_bgp_ids(
             let mut idx: Vec<usize> = (0..rows.len()).collect();
             idx.sort_unstable_by_key(|&i| rows[i][oc]);
             let mut lo = 0;
+            let mut read = 0;
             for (n, &i) in idx.iter().enumerate() {
                 if n % 1024 == 0 {
                     deadline.check()?;
@@ -717,17 +956,22 @@ fn eval_bgp_ids(
                 match resolved[0] {
                     P::New => {
                         for &s in &subs[lo..hi] {
-                            emit_row(&rows[i], s, pid, key, &mut next);
+                            if src.visible(s, pid) {
+                                read += 1;
+                                emit_row(&rows[i], s, pid, key, &mut next);
+                            }
                         }
                     }
                     P::Const(sid) => {
-                        if subs[lo..hi].binary_search(&sid).is_ok() {
+                        if subs[lo..hi].binary_search(&sid).is_ok() && src.visible(sid, pid) {
+                            read += 1;
                             emit_row(&rows[i], sid, pid, key, &mut next);
                         }
                     }
                     P::Bound(_) => unreachable!("excluded above"),
                 }
             }
+            src.charge(read as u64);
         } else if bound_cols {
             // Generic probe: sort rows by the first bound column so
             // successive index probes touch adjacent ranges.
@@ -742,7 +986,7 @@ fn eval_bgp_ids(
             for &i in &idx {
                 deadline.check()?;
                 let row = &rows[i];
-                graph.for_each_match_ids(probe(row, 0), probe(row, 1), probe(row, 2), |s, p, o| {
+                src.for_each_ids(probe(row, 0), probe(row, 1), probe(row, 2), |s, p, o| {
                     emit_row(row, s, p, o, &mut next);
                 });
             }
@@ -751,7 +995,7 @@ fn eval_bgp_ids(
             // once, then cross with the current rows.
             deadline.check()?;
             let mut matches: Vec<(TermId, TermId, TermId)> = Vec::new();
-            graph.for_each_match_ids(probe(&[], 0), probe(&[], 1), probe(&[], 2), |s, p, o| {
+            src.for_each_ids(probe(&[], 0), probe(&[], 1), probe(&[], 2), |s, p, o| {
                 matches.push((s, p, o));
             });
             for row in &rows {
@@ -788,11 +1032,11 @@ fn eval_bgp_ids(
         .collect())
 }
 
-fn match_one(graph: &Graph, t: &TriplePattern, binding: &Bindings, out: &mut Vec<Bindings>) {
+fn match_one(src: &Source<'_>, t: &TriplePattern, binding: &Bindings, out: &mut Vec<Bindings>) {
     let s = resolve(&t.subject, binding);
     let p = resolve(&t.predicate, binding);
     let o = resolve(&t.object, binding);
-    graph.for_each_match(s.as_ref(), p.as_ref(), o.as_ref(), |found| {
+    src.for_each(s.as_ref(), p.as_ref(), o.as_ref(), |found| {
         let mut b = binding.clone();
         let ok = bind(&mut b, &t.subject, &found.subject)
             && bind(&mut b, &t.predicate, &found.predicate)
@@ -807,7 +1051,7 @@ fn match_one(graph: &Graph, t: &TriplePattern, binding: &Bindings, out: &mut Vec
 /// optional endpoint constraints. Recursive closure operators use BFS when
 /// one endpoint is bound and pair-set iteration otherwise.
 fn path_pairs(
-    graph: &Graph,
+    src: &Source<'_>,
     path: &crate::ast::PropertyPath,
     s: Option<&Term>,
     o: Option<&Term>,
@@ -817,18 +1061,18 @@ fn path_pairs(
     Ok(match path {
         P::Iri(p) => {
             let mut out = Vec::new();
-            graph.for_each_match(s, Some(p), o, |t| out.push((t.subject, t.object)));
+            src.for_each(s, Some(p), o, |t| out.push((t.subject, t.object)));
             out
         }
-        P::Inverse(inner) => path_pairs(graph, inner, o, s, deadline)?
+        P::Inverse(inner) => path_pairs(src, inner, o, s, deadline)?
             .into_iter()
             .map(|(a, b)| (b, a))
             .collect(),
         P::Alternative(l, r) => {
-            let mut out = path_pairs(graph, l, s, o, deadline)?;
+            let mut out = path_pairs(src, l, s, o, deadline)?;
             let seen: HashSet<(Term, Term)> = out.iter().cloned().collect();
             out.extend(
-                path_pairs(graph, r, s, o, deadline)?
+                path_pairs(src, r, s, o, deadline)?
                     .into_iter()
                     .filter(|p| !seen.contains(p)),
             );
@@ -839,12 +1083,12 @@ fn path_pairs(
             let mut seen = HashSet::new();
             if s.is_some() || o.is_none() {
                 // Forward: expand `a` from the (possibly unbound) start.
-                for (sa, mid) in path_pairs(graph, a, s, None, deadline)? {
+                for (sa, mid) in path_pairs(src, a, s, None, deadline)? {
                     deadline.check()?;
                     if !mid.is_resource() {
                         continue;
                     }
-                    for (_, ob) in path_pairs(graph, b, Some(&mid), o, deadline)? {
+                    for (_, ob) in path_pairs(src, b, Some(&mid), o, deadline)? {
                         if seen.insert((sa.clone(), ob.clone())) {
                             out.push((sa.clone(), ob));
                         }
@@ -852,9 +1096,9 @@ fn path_pairs(
                 }
             } else {
                 // Backward: only the object is bound.
-                for (mid, ob) in path_pairs(graph, b, None, o, deadline)? {
+                for (mid, ob) in path_pairs(src, b, None, o, deadline)? {
                     deadline.check()?;
-                    for (sa, _) in path_pairs(graph, a, None, Some(&mid), deadline)? {
+                    for (sa, _) in path_pairs(src, a, None, Some(&mid), deadline)? {
                         if seen.insert((sa.clone(), ob.clone())) {
                             out.push((sa, ob.clone()));
                         }
@@ -863,14 +1107,14 @@ fn path_pairs(
             }
             out
         }
-        P::OneOrMore(inner) => closure_pairs(graph, inner, s, o, false, deadline)?,
-        P::ZeroOrMore(inner) => closure_pairs(graph, inner, s, o, true, deadline)?,
+        P::OneOrMore(inner) => closure_pairs(src, inner, s, o, false, deadline)?,
+        P::ZeroOrMore(inner) => closure_pairs(src, inner, s, o, true, deadline)?,
     })
 }
 
 /// Transitive closure of a path, optionally reflexive.
 fn closure_pairs(
-    graph: &Graph,
+    src: &Source<'_>,
     inner: &crate::ast::PropertyPath,
     s: Option<&Term>,
     o: Option<&Term>,
@@ -887,7 +1131,7 @@ fn closure_pairs(
         }
         while let Some(cur) = frontier.pop() {
             deadline.check()?;
-            for (_, next) in path_pairs(graph, inner, Some(&cur), None, deadline)? {
+            for (_, next) in path_pairs(src, inner, Some(&cur), None, deadline)? {
                 if reached.insert(next.clone()) && next.is_resource() {
                     frontier.push(next);
                 }
@@ -906,7 +1150,7 @@ fn closure_pairs(
         (None, Some(end)) => {
             // Reverse BFS via the inverse path, then flip.
             let inv = crate::ast::PropertyPath::Inverse(Box::new(inner.clone()));
-            for (e, sfound) in closure_pairs(graph, &inv, Some(end), None, reflexive, deadline)? {
+            for (e, sfound) in closure_pairs(src, &inv, Some(end), None, reflexive, deadline)? {
                 debug_assert_eq!(&e, end);
                 out.push((sfound, e));
             }
@@ -914,7 +1158,7 @@ fn closure_pairs(
         (None, None) => {
             // All starting points: every subject of an inner step.
             let mut starts: HashSet<Term> = HashSet::new();
-            for (a, _) in path_pairs(graph, inner, None, None, deadline)? {
+            for (a, _) in path_pairs(src, inner, None, None, deadline)? {
                 starts.insert(a);
             }
             for start in starts {
@@ -987,43 +1231,43 @@ impl EvalValue {
     }
 }
 
-fn eval_expr(graph: &Graph, e: &Expr, b: &Bindings, deadline: &Deadline) -> Option<EvalValue> {
+fn eval_expr(src: &Source<'_>, e: &Expr, b: &Bindings, deadline: &Deadline) -> Option<EvalValue> {
     match e {
         Expr::Const(t) => Some(EvalValue::Term(t.clone())),
         Expr::Var(v) => b.get(v).cloned().map(EvalValue::Term),
         Expr::Bound(v) => Some(EvalValue::Bool(b.contains_key(v))),
         Expr::Not(inner) => {
-            let v = eval_expr(graph, inner, b, deadline)?.truthy()?;
+            let v = eval_expr(src, inner, b, deadline)?.truthy()?;
             Some(EvalValue::Bool(!v))
         }
         Expr::And(l, r) => {
-            let lv = eval_expr(graph, l, b, deadline)?.truthy()?;
+            let lv = eval_expr(src, l, b, deadline)?.truthy()?;
             if !lv {
                 return Some(EvalValue::Bool(false));
             }
-            Some(EvalValue::Bool(eval_expr(graph, r, b, deadline)?.truthy()?))
+            Some(EvalValue::Bool(eval_expr(src, r, b, deadline)?.truthy()?))
         }
         Expr::Or(l, r) => {
-            let lv = eval_expr(graph, l, b, deadline)?.truthy()?;
+            let lv = eval_expr(src, l, b, deadline)?.truthy()?;
             if lv {
                 return Some(EvalValue::Bool(true));
             }
-            Some(EvalValue::Bool(eval_expr(graph, r, b, deadline)?.truthy()?))
+            Some(EvalValue::Bool(eval_expr(src, r, b, deadline)?.truthy()?))
         }
-        Expr::Eq(l, r) => compare(graph, l, r, b, deadline, |o| o == Ordering::Equal),
-        Expr::Ne(l, r) => compare(graph, l, r, b, deadline, |o| o != Ordering::Equal),
-        Expr::Lt(l, r) => compare(graph, l, r, b, deadline, |o| o == Ordering::Less),
-        Expr::Le(l, r) => compare(graph, l, r, b, deadline, |o| o != Ordering::Greater),
-        Expr::Gt(l, r) => compare(graph, l, r, b, deadline, |o| o == Ordering::Greater),
-        Expr::Ge(l, r) => compare(graph, l, r, b, deadline, |o| o != Ordering::Less),
+        Expr::Eq(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Equal),
+        Expr::Ne(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Equal),
+        Expr::Lt(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Less),
+        Expr::Le(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Greater),
+        Expr::Gt(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Greater),
+        Expr::Ge(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Less),
         Expr::Contains(l, r) => {
-            let hay = eval_expr(graph, l, b, deadline)?.as_text()?;
-            let needle = eval_expr(graph, r, b, deadline)?.as_text()?;
+            let hay = eval_expr(src, l, b, deadline)?.as_text()?;
+            let needle = eval_expr(src, r, b, deadline)?.as_text()?;
             Some(EvalValue::Bool(hay.contains(&needle)))
         }
         Expr::StrStarts(l, r) => {
-            let hay = eval_expr(graph, l, b, deadline)?.as_text()?;
-            let prefix = eval_expr(graph, r, b, deadline)?.as_text()?;
+            let hay = eval_expr(src, l, b, deadline)?.as_text()?;
+            let prefix = eval_expr(src, r, b, deadline)?.as_text()?;
             Some(EvalValue::Bool(hay.starts_with(&prefix)))
         }
         Expr::IntersectsBox {
@@ -1034,7 +1278,7 @@ fn eval_expr(graph: &Graph, e: &Expr, b: &Bindings, deadline: &Deadline) -> Opti
             y1,
         } => {
             let f = b.get(feature)?;
-            let env = feature_envelope(graph, f)?;
+            let env = envelope_with(f, &|s: &Term, p: &Term| src.objects(s, p))?;
             let query = grdf_geometry::envelope::Envelope::new(
                 grdf_geometry::coord::Coord::xy(*x0, *y0),
                 grdf_geometry::coord::Coord::xy(*x1, *y1),
@@ -1044,23 +1288,25 @@ fn eval_expr(graph: &Graph, e: &Expr, b: &Bindings, deadline: &Deadline) -> Opti
         Expr::Within { inner, outer } => {
             let fi = b.get(inner)?;
             let fo = b.get(outer)?;
-            let ei = feature_envelope(graph, fi)?;
-            let eo = feature_envelope(graph, fo)?;
+            let objects = |s: &Term, p: &Term| src.objects(s, p);
+            let ei = envelope_with(fi, &objects)?;
+            let eo = envelope_with(fo, &objects)?;
             Some(EvalValue::Bool(eo.contains_envelope(&ei)))
         }
         Expr::Distance { a, b: bb } => {
             let fa = b.get(a)?;
             let fb = b.get(bb)?;
-            Some(EvalValue::Num(feature_distance(graph, fa, fb)?))
+            let objects = |s: &Term, p: &Term| src.objects(s, p);
+            Some(EvalValue::Num(distance_with(fa, fb, &objects)?))
         }
         Expr::Exists(p) => {
-            let found = !eval_pattern(graph, p, vec![b.clone()], deadline)
+            let found = !eval_pattern(src, p, vec![b.clone()], deadline)
                 .ok()?
                 .is_empty();
             Some(EvalValue::Bool(found))
         }
         Expr::NotExists(p) => {
-            let found = !eval_pattern(graph, p, vec![b.clone()], deadline)
+            let found = !eval_pattern(src, p, vec![b.clone()], deadline)
                 .ok()?
                 .is_empty();
             Some(EvalValue::Bool(!found))
@@ -1069,15 +1315,15 @@ fn eval_expr(graph: &Graph, e: &Expr, b: &Bindings, deadline: &Deadline) -> Opti
 }
 
 fn compare(
-    graph: &Graph,
+    src: &Source<'_>,
     l: &Expr,
     r: &Expr,
     b: &Bindings,
     deadline: &Deadline,
     test: fn(Ordering) -> bool,
 ) -> Option<EvalValue> {
-    let lv = eval_expr(graph, l, b, deadline)?;
-    let rv = eval_expr(graph, r, b, deadline)?;
+    let lv = eval_expr(src, l, b, deadline)?;
+    let rv = eval_expr(src, r, b, deadline)?;
     // Numeric comparison when both sides are numeric.
     if let (Some(ln), Some(rn)) = (lv.as_num(), rv.as_num()) {
         return Some(EvalValue::Bool(test(ln.partial_cmp(&rn)?)));
@@ -1731,5 +1977,112 @@ mod tests {
     fn projecting_ungrouped_vars_with_aggregates_is_an_error() {
         assert!(execute(&data(), "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s ?p ?o }",).is_err());
         assert!(execute(&data(), "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s").is_err());
+    }
+
+    /// Ten sites bulk-loaded into one run (so the POS merge-join fast
+    /// path is live), linked in a chain, each with a name, a secret and a
+    /// point geometry; the mask hides every odd site and, on the even
+    /// ones, the secret. Every operator that reads triples must answer
+    /// exactly as over the visible subgraph, and the triples a request is
+    /// charged for must depend on that subgraph alone: the same masked
+    /// evaluation over the subgraph, everything shown, reads as many.
+    #[test]
+    fn masked_evaluation_equals_evaluation_over_the_visible_subgraph() {
+        use grdf_rdf::labels::{SubjectLabels, VisBitset};
+        let app = |l: &str| Term::iri(&format!("http://grdf.org/app#{l}"));
+        let gr = |l: &str| Term::iri(&format!("http://grdf.org/ontology#{l}"));
+        let mut triples = Vec::new();
+        for i in 0..10 {
+            let site = app(&format!("s{i}"));
+            let geo = Term::blank(&format!("g{i}"));
+            triples.push(Triple::new(
+                site.clone(),
+                Term::iri(grdf_rdf::vocab::rdf::TYPE),
+                app("ChemSite"),
+            ));
+            triples.push(Triple::new(
+                site.clone(),
+                app("hasSiteName"),
+                Term::string(&format!("Site {i}")),
+            ));
+            triples.push(Triple::new(site.clone(), app("secret"), Term::integer(i)));
+            triples.push(Triple::new(
+                site.clone(),
+                app("near"),
+                app(&format!("s{}", (i + 1) % 10)),
+            ));
+            triples.push(Triple::new(site, gr("hasGeometry"), geo.clone()));
+            triples.push(Triple::new(
+                geo,
+                gr("asWKT"),
+                Term::string(&format!("POINT ({i} {i})")),
+            ));
+        }
+        let mut g = Graph::new();
+        g.extend_triples(triples);
+        let near = g.term_id(&app("near")).unwrap();
+        assert!(g.pred_slices(near).is_some(), "merge path must be live");
+
+        let mut shown = VisBitset::new(1);
+        shown.set(0);
+        let mut labels = SubjectLabels::new(1);
+        let hidden_pred = labels.add_pred_class(|_| VisBitset::new(1));
+        labels.set_pred(g.term_id(&app("secret")).unwrap(), hidden_pred);
+        let visible = labels.add_class(vec![shown.clone(), VisBitset::new(1)]);
+        for i in (0..10).step_by(2) {
+            labels.set_subject(g.term_id(&app(&format!("s{i}"))).unwrap(), visible);
+            labels.set_subject(g.term_id(&Term::blank(&format!("g{i}"))).unwrap(), visible);
+        }
+        let mask = labels.mask(&shown);
+        let mut subgraph = Graph::new();
+        g.for_each_match(None, None, None, |t| {
+            let (s, p) = (
+                g.term_id(&t.subject).unwrap(),
+                g.term_id(&t.predicate).unwrap(),
+            );
+            if mask.visible(s, p) {
+                subgraph.insert(t);
+            }
+        });
+
+        let mut open = SubjectLabels::new(1);
+        let everything = open.add_class(vec![shown.clone()]);
+        subgraph.for_each_match_ids(None, None, None, |s, _, _| {
+            open.set_subject(s, everything);
+        });
+        let open_mask = open.mask(&shown);
+
+        let prefix = "PREFIX app: <http://grdf.org/app#> PREFIX g: <http://grdf.org/ontology#> ";
+        for body in [
+            "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
+            "SELECT ?a ?b WHERE { ?b app:hasSiteName \"Site 4\" . ?a app:near ?b }",
+            "SELECT ?a ?n WHERE { ?a app:near ?b . ?b app:hasSiteName ?n }",
+            "SELECT ?s ?v WHERE { ?s app:secret ?v }",
+            "SELECT ?a ?c WHERE { ?a app:near/app:near ?c }",
+            "SELECT ?a ?c WHERE { ?a app:near+ ?c }",
+            "SELECT ?s WHERE { ?s a app:ChemSite . FILTER(EXISTS { ?s app:near ?x }) }",
+            "SELECT ?s WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:secret ?v } FILTER(!BOUND(?v)) }",
+            "SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:intersectsBox(?s, 2.5, 2.5, 7.5, 7.5)) }",
+            // Hidden matches must not decide the join order: whole-graph
+            // counts tie these patterns, so input order would read the
+            // visible one first although the hidden one empties the join.
+            "SELECT ?n WHERE { app:s0 app:hasSiteName ?n . ?x app:secret 3 }",
+            "SELECT ?n WHERE { ?s app:hasSiteName ?n . ?s app:secret ?v }",
+            "SELECT ?n WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:hasSiteName ?n . ?s app:secret ?v } }",
+        ] {
+            let q = format!("{prefix}{body}");
+            let (got, examined) = execute_masked(&g, &mask, &q, &Deadline::never()).unwrap();
+            let want = execute(&subgraph, &q).unwrap();
+            let canon = |r: &QueryResult| {
+                let mut rows: Vec<String> =
+                    r.select_rows().iter().map(|b| format!("{b:?}")).collect();
+                rows.sort();
+                rows
+            };
+            assert_eq!(canon(&got), canon(&want), "{body}");
+            let (_, charged) =
+                execute_masked(&subgraph, &open_mask, &q, &Deadline::never()).unwrap();
+            assert_eq!(examined, charged, "{body}: charge depends on hidden triples");
+        }
     }
 }

@@ -40,6 +40,6 @@ pub mod spatial;
 
 pub use ast::{Expr, Pattern, Query, QueryKind, TermOrVar, TriplePattern};
 pub use eval::{
-    execute, execute_query, execute_query_with_deadline, execute_with_deadline, Bindings,
-    QueryError, QueryResult,
+    execute, execute_masked, execute_query, execute_query_with_deadline, execute_with_deadline,
+    Bindings, QueryError, QueryResult,
 };

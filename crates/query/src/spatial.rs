@@ -8,36 +8,60 @@ use grdf_rdf::graph::Graph;
 use grdf_rdf::term::Term;
 use grdf_rdf::vocab::grdf as ns;
 
-/// Spatial extent of the feature `subject`, from (in priority order) its
-/// geometry node's WKT, the geometry node's coordinate list, or its
-/// `isBoundedBy` envelope.
+/// Spatial extent of the feature `subject`: the union of its geometry
+/// nodes' extents (each from its WKT, else its coordinate list), or, when
+/// no geometry yields one, of its `isBoundedBy` envelopes. Taking every
+/// value rather than the first keeps the result independent of index
+/// order.
 pub fn feature_envelope(graph: &Graph, subject: &Term) -> Option<Envelope> {
-    if let Some(gnode) = graph.object(subject, &Term::iri(&ns::iri("hasGeometry"))) {
-        if let Some(env) = node_envelope(graph, &gnode) {
-            return Some(env);
-        }
-    }
-    let bnode = graph.object(subject, &Term::iri(&ns::iri("isBoundedBy")))?;
-    node_envelope(graph, &bnode)
+    envelope_with(subject, &|s: &Term, p: &Term| graph.objects(s, p))
 }
 
-fn node_envelope(graph: &Graph, node: &Term) -> Option<Envelope> {
-    if let Some(w) = graph.object(node, &Term::iri(&ns::iri("asWKT"))) {
-        if let Some(g) = w.as_literal().and_then(|l| wkt::parse_wkt(l.lexical())) {
-            if let Some(env) = g.envelope() {
-                return Some(env);
-            }
-        }
-    }
-    let coords_text = graph.object(node, &Term::iri(&ns::iri("coordinates")))?;
-    let coords = parse_coord_list(coords_text.as_literal()?.lexical(), 2)?;
-    Envelope::of_coords(&coords)
+/// [`feature_envelope`] over any `(subject, predicate) → objects` lookup.
+/// The query evaluator passes one that reads only the triples a request's
+/// labels show, so hidden geometry can never place a feature inside a
+/// window.
+pub fn envelope_with(
+    subject: &Term,
+    objects: &impl Fn(&Term, &Term) -> Vec<Term>,
+) -> Option<Envelope> {
+    let of_nodes = |p: &str| {
+        union_of(
+            objects(subject, &Term::iri(&ns::iri(p)))
+                .iter()
+                .filter_map(|node| node_envelope(objects, node)),
+        )
+    };
+    of_nodes("hasGeometry").or_else(|| of_nodes("isBoundedBy"))
 }
 
-/// Planar distance between the centers of two features' extents.
-pub fn feature_distance(graph: &Graph, a: &Term, b: &Term) -> Option<f64> {
-    let ea = feature_envelope(graph, a)?;
-    let eb = feature_envelope(graph, b)?;
+fn node_envelope(objects: &impl Fn(&Term, &Term) -> Vec<Term>, node: &Term) -> Option<Envelope> {
+    let literals = |p: &str| objects(node, &Term::iri(&ns::iri(p)));
+    union_of(literals("asWKT").iter().filter_map(|w| {
+        let l = w.as_literal()?;
+        wkt::parse_wkt(l.lexical())?.envelope()
+    }))
+    .or_else(|| {
+        union_of(literals("coordinates").iter().filter_map(|c| {
+            let coords = parse_coord_list(c.as_literal()?.lexical(), 2)?;
+            Envelope::of_coords(&coords)
+        }))
+    })
+}
+
+fn union_of(envelopes: impl Iterator<Item = Envelope>) -> Option<Envelope> {
+    envelopes.reduce(|a, b| a.union(&b))
+}
+
+/// Planar distance between the centers of two features' extents, read
+/// through an objects lookup (see [`envelope_with`]).
+pub fn distance_with(
+    a: &Term,
+    b: &Term,
+    objects: &impl Fn(&Term, &Term) -> Vec<Term>,
+) -> Option<f64> {
+    let ea = envelope_with(a, objects)?;
+    let eb = envelope_with(b, objects)?;
     Some(ea.center().distance_2d(&eb.center()))
 }
 
@@ -75,7 +99,7 @@ mod tests {
     #[test]
     fn distance_between_extent_centers() {
         let (g, sa, sb) = graph_with_two_features();
-        let d = feature_distance(&g, &sa, &sb).unwrap();
+        let d = distance_with(&sa, &sb, &|s: &Term, p: &Term| g.objects(s, p)).unwrap();
         // Centers: (5,5) and (105,5) → 100.
         assert!((d - 100.0).abs() < 1e-9, "{d}");
     }
@@ -84,7 +108,27 @@ mod tests {
     fn missing_geometry_yields_none() {
         let g = Graph::new();
         assert!(feature_envelope(&g, &Term::iri("urn:none")).is_none());
-        assert!(feature_distance(&g, &Term::iri("urn:a"), &Term::iri("urn:b")).is_none());
+        let objects = |s: &Term, p: &Term| g.objects(s, p);
+        assert!(distance_with(&Term::iri("urn:a"), &Term::iri("urn:b"), &objects).is_none());
+    }
+
+    #[test]
+    fn several_geometries_merge_into_one_extent() {
+        let (mut g, sa, _) = graph_with_two_features();
+        let extra = Term::blank("extra");
+        g.add(
+            sa.clone(),
+            Term::iri(&ns::iri("hasGeometry")),
+            extra.clone(),
+        );
+        g.add(
+            extra,
+            Term::iri(&ns::iri("asWKT")),
+            Term::string("POINT (20 -5)"),
+        );
+        let env = feature_envelope(&g, &sa).unwrap();
+        assert_eq!(env.min, Coord::xy(0.0, -5.0));
+        assert_eq!(env.max, Coord::xy(20.0, 10.0));
     }
 
     #[test]

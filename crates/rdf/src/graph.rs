@@ -727,6 +727,21 @@ impl Graph {
         o: Option<TermId>,
         mut f: F,
     ) {
+        self.for_each_match_ids_while(s, p, o, |s, p, o| {
+            f(s, p, o);
+            true
+        });
+    }
+
+    /// [`Graph::for_each_match_ids`] that stops as soon as `f` returns
+    /// false.
+    pub fn for_each_match_ids_while<F: FnMut(TermId, TermId, TermId) -> bool>(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+        mut f: F,
+    ) {
         match (s, p, o, self.mode) {
             (Some(s), Some(p), Some(o), _) => {
                 if self.live((s, p, o)) {
@@ -734,36 +749,36 @@ impl Graph {
                 }
             }
             (Some(s), Some(p), None, _) => {
-                self.scan(Order::Spo, Prefix::Two(s, p), |(s2, p2, o2)| f(s2, p2, o2));
+                self.scan_while(Order::Spo, Prefix::Two(s, p), |(s2, p2, o2)| f(s2, p2, o2));
             }
             (Some(s), None, None, _) => {
-                self.scan(Order::Spo, Prefix::One(s), |(s2, p2, o2)| f(s2, p2, o2));
+                self.scan_while(Order::Spo, Prefix::One(s), |(s2, p2, o2)| f(s2, p2, o2));
             }
             (Some(s), None, Some(o), IndexMode::Full) => {
-                self.scan(Order::Osp, Prefix::Two(o, s), |(o2, s2, p2)| f(s2, p2, o2));
+                self.scan_while(Order::Osp, Prefix::Two(o, s), |(o2, s2, p2)| f(s2, p2, o2));
             }
             (None, Some(p), Some(o), IndexMode::Full) => {
-                self.scan(Order::Pos, Prefix::Two(p, o), |(p2, o2, s2)| f(s2, p2, o2));
+                self.scan_while(Order::Pos, Prefix::Two(p, o), |(p2, o2, s2)| f(s2, p2, o2));
             }
             (None, Some(p), None, IndexMode::Full) => {
-                self.scan(Order::Pos, Prefix::One(p), |(p2, o2, s2)| f(s2, p2, o2));
+                self.scan_while(Order::Pos, Prefix::One(p), |(p2, o2, s2)| f(s2, p2, o2));
             }
             (None, None, Some(o), IndexMode::Full) => {
-                self.scan(Order::Osp, Prefix::One(o), |(o2, s2, p2)| f(s2, p2, o2));
+                self.scan_while(Order::Osp, Prefix::One(o), |(o2, s2, p2)| f(s2, p2, o2));
             }
             (None, None, None, _) => {
-                self.scan(Order::Spo, Prefix::All, |(s2, p2, o2)| f(s2, p2, o2));
+                self.scan_while(Order::Spo, Prefix::All, |(s2, p2, o2)| f(s2, p2, o2));
             }
             // SpoOnly fallbacks: scan the primary index.
             (s, p, o, IndexMode::SpoOnly) => {
-                self.scan(Order::Spo, Prefix::All, |(s2, p2, o2)| {
+                self.scan_while(Order::Spo, Prefix::All, |(s2, p2, o2)| {
                     if s.is_some_and(|x| x != s2)
                         || p.is_some_and(|x| x != p2)
                         || o.is_some_and(|x| x != o2)
                     {
-                        return;
+                        return true;
                     }
-                    f(s2, p2, o2);
+                    f(s2, p2, o2)
                 });
             }
         }
@@ -790,6 +805,11 @@ impl Graph {
         let (Ok(s), Ok(p), Ok(o)) = (resolve(subject), resolve(predicate), resolve(object)) else {
             return 0; // a bound term the graph has never seen matches nothing
         };
+        self.estimate_ids(s, p, o)
+    }
+
+    /// [`Graph::estimate`] over an id pattern.
+    pub fn estimate_ids(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
         match (s, p, o, self.mode) {
             (None, None, None, _) => self.len(),
             (Some(s), Some(p), Some(o), _) => usize::from(self.live((s, p, o))),
@@ -1186,6 +1206,14 @@ impl Graph {
     /// Merged scan over one order: run slice ∪ delta range − tombstones,
     /// emitted in that order's sorted tuple order.
     fn scan<F: FnMut(IdTriple)>(&self, order: Order, prefix: Prefix, mut f: F) {
+        self.scan_while(order, prefix, |t| {
+            f(t);
+            true
+        });
+    }
+
+    /// [`Graph::scan`] that stops as soon as `f` returns false.
+    fn scan_while<F: FnMut(IdTriple) -> bool>(&self, order: Order, prefix: Prefix, mut f: F) {
         let (cols, delta, dead) = self.order_sets(order);
         let (range, bounds) = prefix.locate(cols);
         if delta.range(bounds.0..=bounds.1).next().is_none()
@@ -1199,12 +1227,16 @@ impl Graph {
                 .zip(&cols.b[range.clone()])
                 .zip(&cols.c[range])
             {
-                f((a, b, c));
+                if !f((a, b, c)) {
+                    return;
+                }
             }
             return;
         }
         for t in ScanIter::new(cols, range, delta, dead, bounds) {
-            f(t);
+            if !f(t) {
+                return;
+            }
         }
     }
 }
@@ -1518,6 +1550,26 @@ mod tests {
                                             // Novelty folds into the triple count immediately.
         g.insert(t("urn:c", "urn:p", "urn:z"));
         assert_eq!(g.pred_stats(p).triples, 4);
+    }
+
+    #[test]
+    fn for_each_match_ids_while_stops_early() {
+        let mut g = sample();
+        g.compact();
+        let p = g.term_id(&Term::iri("urn:p")).unwrap();
+        let visits = |g: &Graph| {
+            let mut n = 0;
+            g.for_each_match_ids_while(None, Some(p), None, |_, _, _| {
+                n += 1;
+                n < 2
+            });
+            n
+        };
+        assert_eq!(visits(&g), 2, "compacted run");
+        // With novelty in the range the merged scan stops just as early.
+        g.insert(t("urn:c", "urn:p", "urn:z"));
+        assert!(g.pred_slices(p).is_none());
+        assert_eq!(visits(&g), 2, "run merged with novelty");
     }
 
     #[test]

@@ -1,23 +1,28 @@
-//! Per-triple visibility labels: the storage half of the label-compilation
-//! IR (ROADMAP item 1, Accumulo/GeoMesa cell-level visibility model).
+//! Per-subject visibility labels: the storage half of the label-compilation
+//! IR (the Accumulo/GeoMesa cell-level visibility model, keyed by subject).
 //!
-//! A [`VisBitset`] records which *roles* (by dense index) may see a triple;
-//! a [`TripleLabels`] table maps interned id-triples to deduplicated label
-//! classes. Policy compilation lives in `grdf-security::labels`; this module
-//! only knows about bits and ids so the graph crate stays policy-agnostic.
+//! A [`VisBitset`] records which *roles* (by dense index) may see a triple.
+//! A [`SubjectLabels`] table assigns every subject term a *subject class*
+//! and every predicate term a *predicate class*; a small class × predicate
+//! class table holds the role bitset each combination is visible to. A
+//! triple's label depends only on its subject and predicate, so the table
+//! is two dense per-term-id arrays plus that small grid — no per-triple
+//! state, and no insert or compaction of the graph can misalign it (term
+//! ids are stable for the life of a graph).
 //!
-//! Visibility check at scan time is a single bitset intersection: a session
-//! resolves its role(s) to an authorization [`VisBitset`] once, then each
-//! triple costs one `intersects` call — O(words) per triple, zero per-role
-//! state.
-
-use std::collections::HashMap;
+//! Policy compilation lives in `grdf-security::labels`; this module only
+//! knows about bits and ids so the graph crate stays policy-agnostic.
+//!
+//! Scan-time check: a request resolves its authorization [`VisBitset`]
+//! against the grid once ([`SubjectLabels::mask`]); each scanned triple
+//! then costs three array loads in a [`ScanMask`] — subject class,
+//! predicate class, grid cell — with no hashing and no per-role state.
 
 use crate::graph::TermId;
 
 /// A fixed-width bitset over role indices. Width is owned by the enclosing
-/// [`TripleLabels`] (all bitsets in one table share it); the bitset itself
-/// just stores words so it can be hashed and deduplicated cheaply.
+/// table (all bitsets in one table share it); the bitset itself just
+/// stores words so it can be hashed and deduplicated cheaply.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VisBitset {
     words: Vec<u64>,
@@ -76,6 +81,13 @@ impl VisBitset {
         changed
     }
 
+    /// Clear every bit of `self` that is set in `other`.
+    pub fn remove_all(&mut self, other: &VisBitset) {
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
+            *a &= !b;
+        }
+    }
+
     /// True if every set bit of `self` is also set in `other`.
     #[must_use]
     pub fn is_subset_of(&self, other: &VisBitset) -> bool {
@@ -113,195 +125,184 @@ impl VisBitset {
     }
 }
 
-/// Index of a deduplicated label class within a [`TripleLabels`] table.
+/// Index of a subject class (a row of the grid) in a [`SubjectLabels`].
 pub type LabelId = u32;
 
-/// Per-triple visibility table over interned id-triples.
+/// The subject class of every term that carries no label: hidden from
+/// every role (deny-by-default). Its row is all-empty by construction.
+pub const HIDDEN: LabelId = 0;
+
+/// Per-subject visibility table: subject class per subject term id,
+/// predicate class per predicate term id, and the grid of role bitsets
+/// indexed by (subject class, predicate class).
 ///
-/// Label *classes* (distinct bitsets) are deduplicated: real policy sets
-/// produce a handful of classes over millions of triples, so the per-triple
-/// cost is one `u32` plus the map entry. A triple with no entry is hidden
-/// from every role (deny-by-default).
-///
-/// The table is stamped with the graph `generation` it was compiled against
-/// so gates can detect staleness after updates.
-#[derive(Debug, Clone, Default)]
-pub struct TripleLabels {
+/// Terms the arrays do not cover (minted after the last update of the
+/// table) read as subject class [`HIDDEN`] and predicate class 0.
+#[derive(Debug, Clone)]
+pub struct SubjectLabels {
     width: usize,
-    generation: u64,
-    classes: Vec<VisBitset>,
-    class_ids: HashMap<VisBitset, LabelId>,
-    map: HashMap<(TermId, TermId, TermId), LabelId>,
+    subject: Vec<LabelId>,
+    pred: Vec<u32>,
+    /// `rows[class][pred class]`: roles that see the combination.
+    rows: Vec<Vec<VisBitset>>,
+    pred_classes: usize,
 }
 
-impl TripleLabels {
-    /// New empty table for `width` role bits, stamped with `generation`.
+impl SubjectLabels {
+    /// A table for `width` role bits with the single predicate class 0 and
+    /// only the [`HIDDEN`] subject class.
     #[must_use]
-    pub fn new(width: usize, generation: u64) -> Self {
-        TripleLabels {
+    pub fn new(width: usize) -> Self {
+        SubjectLabels {
             width,
-            generation,
-            classes: Vec::new(),
-            class_ids: HashMap::new(),
-            map: HashMap::new(),
+            subject: Vec::new(),
+            pred: Vec::new(),
+            rows: vec![vec![VisBitset::new(width)]],
+            pred_classes: 1,
         }
     }
 
-    /// Number of role bits this table was compiled for.
+    /// Number of role bits.
     #[must_use]
     pub fn width(&self) -> usize {
         self.width
     }
 
-    /// Graph generation the labels were compiled against.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of labeled triples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no triple is labeled.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Number of distinct label classes.
+    /// Number of subject classes, [`HIDDEN`] included.
     #[must_use]
     pub fn class_count(&self) -> usize {
-        self.classes.len()
+        self.rows.len()
     }
 
-    /// Intern `bits` as a label class and assign it to the id-triple.
-    /// Returns the (possibly pre-existing) class id. Empty bitsets are not
-    /// stored: absence already means hidden-from-all.
-    pub fn insert(&mut self, s: TermId, p: TermId, o: TermId, bits: &VisBitset) -> Option<LabelId> {
-        if bits.is_empty() {
-            self.map.remove(&(s, p, o));
-            return None;
+    /// Number of predicate classes.
+    #[must_use]
+    pub fn pred_class_count(&self) -> usize {
+        self.pred_classes
+    }
+
+    /// Number of subject terms with a class other than [`HIDDEN`].
+    #[must_use]
+    pub fn labeled_subjects(&self) -> usize {
+        self.subject.iter().filter(|&&c| c != HIDDEN).count()
+    }
+
+    /// Append a subject class whose row is `row` (one bitset per
+    /// predicate class, in class order); returns its id.
+    ///
+    /// # Panics
+    /// Panics if `row` does not have one entry per predicate class.
+    pub fn add_class(&mut self, row: Vec<VisBitset>) -> LabelId {
+        assert_eq!(row.len(), self.pred_classes, "one cell per predicate class");
+        self.rows.push(row);
+        LabelId::try_from(self.rows.len() - 1).expect("fewer than 2^32 subject classes")
+    }
+
+    /// Append a predicate class; `cell(class)` gives each existing
+    /// non-hidden subject class's bitset for it. Returns its id.
+    pub fn add_pred_class(&mut self, mut cell: impl FnMut(LabelId) -> VisBitset) -> u32 {
+        for (class, row) in self.rows.iter_mut().enumerate() {
+            let class = LabelId::try_from(class).expect("class ids fit u32");
+            row.push(if class == HIDDEN {
+                VisBitset::new(self.width)
+            } else {
+                cell(class)
+            });
         }
-        let id = if let Some(id) = self.class_ids.get(bits) {
-            *id
-        } else {
-            let id = u32::try_from(self.classes.len()).unwrap_or(u32::MAX);
-            self.classes.push(bits.clone());
-            self.class_ids.insert(bits.clone(), id);
-            id
-        };
-        self.map.insert((s, p, o), id);
-        Some(id)
+        self.pred_classes += 1;
+        u32::try_from(self.pred_classes - 1).expect("fewer than 2^32 predicate classes")
     }
 
-    /// Label class id of an id-triple, if labeled.
-    #[must_use]
-    pub fn label_of(&self, s: TermId, p: TermId, o: TermId) -> Option<LabelId> {
-        self.map.get(&(s, p, o)).copied()
-    }
-
-    /// The bitset for a label class id.
-    #[must_use]
-    pub fn class(&self, id: LabelId) -> Option<&VisBitset> {
-        self.classes.get(id as usize)
-    }
-
-    /// Scan-time check: is the id-triple visible under `auths`?
-    /// Unlabeled triples are hidden (deny-by-default).
-    #[must_use]
-    pub fn visible(&self, s: TermId, p: TermId, o: TermId, auths: &VisBitset) -> bool {
-        self.label_of(s, p, o)
-            .and_then(|id| self.class(id))
-            .is_some_and(|bits| bits.intersects(auths))
-    }
-
-    /// Bitset of an id-triple, if labeled.
-    #[must_use]
-    pub fn bits_of(&self, s: TermId, p: TermId, o: TermId) -> Option<&VisBitset> {
-        self.label_of(s, p, o).and_then(|id| self.class(id))
-    }
-
-    /// Iterate all labeled id-triples with their class ids.
-    pub fn iter(&self) -> impl Iterator<Item = (&(TermId, TermId, TermId), LabelId)> {
-        self.map.iter().map(|(k, v)| (k, *v))
-    }
-
-    /// Seal this table into a [`LabelColumn`] aligned with `graph`'s
-    /// primary scan order — the columnar companion the filtered scan zips
-    /// against without any per-triple hash lookup.
-    #[must_use]
-    pub fn to_column(&self, graph: &crate::graph::Graph) -> LabelColumn {
-        let mut col = Vec::with_capacity(graph.len());
-        graph.for_each_match_ids(None, None, None, |s, p, o| {
-            col.push(self.label_of(s, p, o).unwrap_or(NO_LABEL));
-        });
-        LabelColumn {
-            generation: graph.generation(),
-            classes: self.classes.clone(),
-            col,
-        }
-    }
-}
-
-/// Sentinel class id marking an unlabeled (hidden-from-all) triple in a
-/// [`LabelColumn`].
-pub const NO_LABEL: LabelId = LabelId::MAX;
-
-/// Label-class ids stored as a column parallel to a graph's primary scan
-/// order. A filtered scan resolves the authorization bitset against the
-/// (few) label classes once, then reads one `u32` per scanned triple —
-/// the Accumulo-style cell visibility check without per-triple hashing.
-///
-/// The column is positional: it is only valid against the exact graph
-/// state it was sealed from, checked via [`LabelColumn::matches`]
-/// (generation + length). Mutating the graph invalidates it.
-#[derive(Debug, Clone, Default)]
-pub struct LabelColumn {
-    generation: u64,
-    classes: Vec<VisBitset>,
-    col: Vec<LabelId>,
-}
-
-impl LabelColumn {
-    /// Whether this column is still aligned with `graph`.
-    #[must_use]
-    pub fn matches(&self, graph: &crate::graph::Graph) -> bool {
-        self.generation == graph.generation() && self.col.len() == graph.len()
-    }
-
-    /// Number of labeled positions (non-sentinel entries).
-    #[must_use]
-    pub fn labeled(&self) -> usize {
-        self.col.iter().filter(|&&id| id != NO_LABEL).count()
-    }
-
-    /// The id-triples visible under `auths`, in scan order: the class
-    /// table intersects `auths` once per *class*, the scan then does one
-    /// column load and one bool test per triple.
-    #[must_use]
-    pub fn visible_ids(
-        &self,
-        graph: &crate::graph::Graph,
-        auths: &VisBitset,
-    ) -> Vec<(TermId, TermId, TermId)> {
-        debug_assert!(self.matches(graph), "stale label column");
-        let vis: Vec<bool> = self.classes.iter().map(|c| c.intersects(auths)).collect();
-        let mut out = Vec::new();
-        let mut i = 0;
-        graph.for_each_match_ids(None, None, None, |s, p, o| {
-            if self
-                .col
-                .get(i)
-                .is_some_and(|&id| id != NO_LABEL && vis.get(id as usize).copied() == Some(true))
-            {
-                out.push((s, p, o));
+    /// Assign subject class `class` to the subject term `s`.
+    pub fn set_subject(&mut self, s: TermId, class: LabelId) {
+        let i = s as usize;
+        if i >= self.subject.len() {
+            if class == HIDDEN {
+                return;
             }
-            i += 1;
-        });
-        out
+            self.subject.resize(i + 1, HIDDEN);
+        }
+        self.subject[i] = class;
+    }
+
+    /// Assign predicate class `class` to the predicate term `p`.
+    pub fn set_pred(&mut self, p: TermId, class: u32) {
+        let i = p as usize;
+        if i >= self.pred.len() {
+            if class == 0 {
+                return;
+            }
+            self.pred.resize(i + 1, 0);
+        }
+        self.pred[i] = class;
+    }
+
+    /// The subject class of `s`.
+    #[must_use]
+    pub fn subject_class(&self, s: TermId) -> LabelId {
+        self.subject.get(s as usize).copied().unwrap_or(HIDDEN)
+    }
+
+    /// The predicate class of `p`.
+    #[must_use]
+    pub fn pred_class(&self, p: TermId) -> u32 {
+        self.pred.get(p as usize).copied().unwrap_or(0)
+    }
+
+    /// The grid cell of (subject class, predicate class).
+    #[must_use]
+    pub fn cell(&self, class: LabelId, pred_class: u32) -> &VisBitset {
+        &self.rows[class as usize][pred_class as usize]
+    }
+
+    /// The roles that see every triple with subject `s` and predicate `p`.
+    #[must_use]
+    pub fn bits(&self, s: TermId, p: TermId) -> &VisBitset {
+        self.cell(self.subject_class(s), self.pred_class(p))
+    }
+
+    /// Is a triple with subject `s` and predicate `p` visible under
+    /// `auths`? Unlabeled subjects are hidden (deny-by-default).
+    #[must_use]
+    pub fn visible(&self, s: TermId, p: TermId, auths: &VisBitset) -> bool {
+        self.bits(s, p).intersects(auths)
+    }
+
+    /// Resolve `auths` against the grid once: the per-request check.
+    #[must_use]
+    pub fn mask(&self, auths: &VisBitset) -> ScanMask<'_> {
+        let vis = self
+            .rows
+            .iter()
+            .flat_map(|row| row.iter().map(|bits| bits.intersects(auths)))
+            .collect();
+        ScanMask {
+            subject: &self.subject,
+            pred: &self.pred,
+            stride: self.pred_classes,
+            vis,
+        }
+    }
+}
+
+/// A [`SubjectLabels`] table resolved against one authorization set: the
+/// visibility test a scan runs on every triple it reads.
+#[derive(Debug, Clone)]
+pub struct ScanMask<'a> {
+    subject: &'a [LabelId],
+    pred: &'a [u32],
+    stride: usize,
+    /// `vis[class * stride + pred class]`.
+    vis: Vec<bool>,
+}
+
+impl ScanMask<'_> {
+    /// Whether a triple with subject `s` and predicate `p` is visible.
+    #[inline]
+    #[must_use]
+    pub fn visible(&self, s: TermId, p: TermId) -> bool {
+        let class = self.subject.get(s as usize).map_or(0, |&c| c as usize);
+        let pred = self.pred.get(p as usize).map_or(0, |&k| k as usize);
+        self.vis[class * self.stride + pred]
     }
 }
 
@@ -322,6 +323,8 @@ mod tests {
         assert!(a.get(2) && !a.get(1));
         assert_eq!(a.count_ones(), 2);
         assert_eq!(a.iter_ones(), vec![0, 2]);
+        a.remove_all(&b);
+        assert_eq!(a.iter_ones(), vec![0]);
     }
 
     #[test]
@@ -346,35 +349,54 @@ mod tests {
         assert!(a.get(1));
     }
 
-    #[test]
-    fn labels_dedup_classes() {
-        let mut t = TripleLabels::new(2, 7);
-        let mut bits = VisBitset::new(2);
-        bits.set(0);
-        let a = t.insert(1, 2, 3, &bits);
-        let b = t.insert(4, 2, 3, &bits);
-        assert_eq!(a, b);
-        assert_eq!(t.class_count(), 1);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.generation(), 7);
-
-        let mut other = VisBitset::new(2);
-        other.set(1);
-        t.insert(5, 2, 3, &other);
-        assert_eq!(t.class_count(), 2);
-
-        let mut auth = VisBitset::new(2);
-        auth.set(0);
-        assert!(t.visible(1, 2, 3, &auth));
-        assert!(!t.visible(5, 2, 3, &auth));
-        assert!(!t.visible(9, 9, 9, &auth), "unlabeled means hidden");
+    fn bits(width: usize, ones: &[usize]) -> VisBitset {
+        let mut b = VisBitset::new(width);
+        for &i in ones {
+            b.set(i);
+        }
+        b
     }
 
     #[test]
-    fn empty_bits_not_stored() {
-        let mut t = TripleLabels::new(2, 0);
-        let empty = VisBitset::new(2);
-        assert_eq!(t.insert(1, 2, 3, &empty), None);
-        assert!(t.is_empty());
+    fn grid_lookup_and_mask_agree() {
+        // Two roles. Class 1 shows predicate class 0 to role 0 only and
+        // predicate class 1 to both; class 2 shows everything to role 1.
+        let mut t = SubjectLabels::new(2);
+        let named = t.add_pred_class(|_| VisBitset::new(2));
+        assert_eq!(named, 1);
+        let c1 = t.add_class(vec![bits(2, &[0]), bits(2, &[0, 1])]);
+        let c2 = t.add_class(vec![bits(2, &[1]), bits(2, &[1])]);
+        t.set_subject(10, c1);
+        t.set_subject(11, c2);
+        t.set_pred(5, named);
+        assert_eq!(t.class_count(), 3);
+        assert_eq!(t.labeled_subjects(), 2);
+
+        let role1 = bits(2, &[1]);
+        assert!(!t.visible(10, 4, &role1));
+        assert!(t.visible(10, 5, &role1));
+        assert!(t.visible(11, 4, &role1));
+        assert!(!t.visible(12, 5, &role1), "unlabeled subject is hidden");
+        let mask = t.mask(&role1);
+        for s in [10, 11, 12, 9999] {
+            for p in [4, 5, 9999] {
+                assert_eq!(mask.visible(s, p), t.visible(s, p, &role1), "({s}, {p})");
+            }
+        }
+    }
+
+    #[test]
+    fn new_predicate_class_extends_every_row() {
+        let mut t = SubjectLabels::new(1);
+        let c = t.add_class(vec![bits(1, &[0])]);
+        t.set_subject(3, c);
+        let k = t.add_pred_class(|class| {
+            assert_eq!(class, c, "the hidden row is filled by the table");
+            VisBitset::new(1)
+        });
+        t.set_pred(7, k);
+        assert!(t.visible(3, 6, &bits(1, &[0])));
+        assert!(!t.visible(3, 7, &bits(1, &[0])));
+        assert!(t.cell(HIDDEN, k).is_empty());
     }
 }

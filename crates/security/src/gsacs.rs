@@ -15,9 +15,16 @@
 //! outcome — success, parse error, deadline expiry, load shed — is
 //! audited, internal failures deny rather than leak, the reasoning engine
 //! sits behind a circuit breaker, and when it is unavailable the service
-//! degrades to serving un-inferred data through conservative views.
+//! degrades to serving un-inferred data, masking out every role an
+//! effective deny applies to.
+//!
+//! Enforcement happens inside the query scan: the service keeps one
+//! compiled label table over the served dataset ([`LabelIr`]), resolves a
+//! request's role to its authorization set once, and evaluates the query
+//! over the whole dataset with every triple read tested against that set.
+//! No request or update builds a per-role copy of the data.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,21 +32,21 @@ use parking_lot::Mutex;
 
 use grdf_obs::{Counter, Obs, TraceId};
 use grdf_owl::reasoner::Reasoner;
-use grdf_query::eval::{execute_with_deadline, QueryResult};
+use grdf_query::eval::{execute_masked, QueryResult};
 use grdf_rdf::diagnostic::{LintReport, Severity};
 use grdf_rdf::graph::Graph;
-use grdf_rdf::term::{Term, Triple};
-use grdf_rdf::vocab::{owl as vocab_owl, rdf, rdfs as vocab_rdfs};
+use grdf_rdf::labels::VisBitset;
 use grdf_runtime::{Budget, Deadline};
 use grdf_store::{DurableStore, LoggedOp, Recovered, StorageBackend, StoreConfig, StoreError};
 use std::time::Duration;
 
-use crate::policy::{DecisionTrace, Policy, PolicySet};
+use crate::labels::LabelIr;
+use crate::policy::{Decision, DecisionTrace, Policy, PolicySet};
 use crate::resilience::{
     AdmissionGate, Durability, EngineError, GsacsError, HealthReport, LatencyHistogram, LintGate,
     ResilienceConfig, ResilientEngine, Stage,
 };
-use crate::views::{conservative_view_explained, secure_view_explained, ViewStats};
+use crate::views::secure_view_explained;
 
 /// The pluggable reasoning component (Fig. 3 "Reasoning engine").
 ///
@@ -337,23 +344,6 @@ impl QueryCache {
         self.map.is_empty()
     }
 
-    /// Drop only one role's entries — the selective form used after an
-    /// incremental update that provably cannot change other roles' views.
-    pub fn invalidate_role(&mut self, role: &str) {
-        let idxs: Vec<usize> = self
-            .map
-            .iter()
-            .filter(|(key, _)| key.0 == role)
-            .map(|(_, &idx)| idx)
-            .collect();
-        for idx in idxs {
-            self.unlink(idx);
-            let node = self.nodes[idx].take().expect("mapped node present");
-            self.map.remove(&node.key);
-            self.free.push(idx);
-        }
-    }
-
     /// Drop all entries (e.g. after data changes); hit/miss counters are
     /// retained.
     pub fn invalidate(&mut self) {
@@ -475,18 +465,6 @@ pub struct AuditEntry {
     pub trace_id: TraceId,
 }
 
-/// Per-role view caches, guarded by one lock so concurrent first requests
-/// for the same role build its view exactly once.
-#[derive(Debug, Default)]
-struct ViewState {
-    views: HashMap<String, Arc<Graph>>,
-    stats: HashMap<String, ViewStats>,
-    /// Decision trace from each role's most recent view build.
-    traces: HashMap<String, DecisionTrace>,
-    /// Cumulative builds per role (survives invalidation).
-    builds: HashMap<String, u64>,
-}
-
 /// Pre-resolved counter handles for the request hot path, so `handle`
 /// pays one atomic add per event instead of a registry lookup
 /// (`RwLock` read + `BTreeMap` probe) per event.
@@ -522,17 +500,30 @@ pub struct GSacs {
     /// Served dataset: `base` plus entailments, rebuilt from `base` on
     /// every re-materialization (or a plain copy of `base` when degraded).
     data: Graph,
+    /// The policy labels compiled over `data`: recompiled after every full
+    /// rebuild, patched from the delta of every incremental insert.
+    labels: LabelIr,
+    /// Served-state epoch, bumped on every applied update. Anything cached
+    /// against the served state is validated against it (the graph's own
+    /// generation counts inserts only, so a delete-only batch or a rebuild
+    /// can leave it unchanged).
+    epoch: AtomicU64,
+    /// [`GSacs::view_for`] memo: per role, the epoch it was built at.
+    /// Cleared by [`GSacs::invalidate`], so it holds no old state's views.
+    view_memo: Mutex<HashMap<String, (u64, Arc<Graph>)>>,
+    /// Trace of each role's most recent traced request, for
+    /// [`GSacs::decision_trace_for`].
+    last_trace: Mutex<HashMap<String, TraceId>>,
     /// Inferred-triple count from the last materialization.
     pub inferred: usize,
-    /// Whether the service is running without reasoning (conservative
-    /// views over un-inferred data).
+    /// Whether the service is running without reasoning (un-inferred
+    /// data, deny-bearing roles masked out).
     degraded: AtomicBool,
     config: ResilienceConfig,
     gate: AdmissionGate,
     latency: LatencyHistogram,
     requests: AtomicU64,
     query_cache: Mutex<QueryCache>,
-    views: Mutex<ViewState>,
     /// Security decision log (bounded ring buffer).
     audit: Mutex<AuditLog>,
     /// Durable write-ahead store when [`Durability::Wal`] is configured.
@@ -621,12 +612,17 @@ impl GSacs {
             Durability::Ephemeral => None,
             Durability::Wal(s) => Some(Arc::clone(s)),
         };
+        let labels = LabelIr::compile(&Graph::new(), &policies);
         let mut svc = GSacs {
             repository,
             policies,
             engine,
             base,
             data: Graph::new(),
+            labels,
+            epoch: AtomicU64::new(0),
+            view_memo: Mutex::new(HashMap::new()),
+            last_trace: Mutex::new(HashMap::new()),
             inferred: 0,
             degraded: AtomicBool::new(false),
             config,
@@ -634,7 +630,6 @@ impl GSacs {
             latency: LatencyHistogram::default(),
             requests: AtomicU64::new(0),
             query_cache: Mutex::new(QueryCache::new(cache_capacity)),
-            views: Mutex::new(ViewState::default()),
             audit,
             store,
             audit_sink_errors: AtomicU64::new(0),
@@ -746,13 +741,21 @@ impl GSacs {
     /// and OWL consistency — over the served dataset.
     /// Instrumented: a `gsacs.lint` span plus `gsacs.lint.*` counters.
     pub fn lint(&self) -> LintReport {
-        self.lint_graph(&self.data)
+        self.lint_graph(&self.data, Some(&self.labels))
     }
 
-    fn lint_graph(&self, data: &Graph) -> LintReport {
+    /// Lint `data`. The whole-set label passes read `served` when given
+    /// (the served labels, compiled over `data`); otherwise they compile
+    /// their own IR over `data`.
+    fn lint_graph(&self, data: &Graph, served: Option<&LabelIr>) -> LintReport {
         let span = grdf_obs::span("gsacs.lint");
         let mut diags = crate::conflicts::diagnostics(data, &self.policies);
-        diags.extend(crate::labels::diagnostics(data, &self.policies));
+        if !self.policies.policies.is_empty() {
+            diags.extend(match served {
+                Some(ir) => ir.static_diagnostics(data, &self.policies),
+                None => crate::labels::diagnostics(data, &self.policies),
+            });
+        }
         diags.extend(grdf_owl::consistency::lint(data));
         let report = LintReport::from_diagnostics(diags);
         let errors = report.count(Severity::Error);
@@ -767,9 +770,10 @@ impl GSacs {
 
     /// The construction-time lint gate: audit the findings and, under
     /// [`LintGate::Enforce`], reject the service when any are errors.
-    /// Also runs the differential label verifier — label-filtered scans
-    /// must equal materialized secure views for every role; a divergence
-    /// under Enforce fails the service closed, under Flag it is audited.
+    /// Also runs the differential label verifier on the served labels —
+    /// label-filtered scans must equal materialized secure views for every
+    /// role; a divergence under Enforce fails the service closed, under
+    /// Flag it is audited.
     fn lint_at_init(&mut self) {
         if self.config.lint_gate == LintGate::Off {
             return;
@@ -799,8 +803,9 @@ impl GSacs {
             return;
         }
         if !self.policies.policies.is_empty() {
-            let ir = crate::labels::LabelIr::compile(&self.data, &self.policies);
-            let divergences = ir.verify_label_equivalence(&self.data, &self.policies);
+            let divergences = self
+                .labels
+                .verify_label_equivalence(&self.data, &self.policies);
             if !divergences.is_empty() {
                 let detail = format!(
                     "label/view divergence ({}): {}",
@@ -823,9 +828,10 @@ impl GSacs {
     }
 
     /// Rebuild the served dataset from the un-inferred base through the
-    /// circuit-breaking engine. On failure the service degrades: it serves
-    /// the base graph with conservative views until a later
-    /// re-materialization succeeds. Every transition is audited.
+    /// circuit-breaking engine, then recompile the labels over it. On
+    /// failure the service degrades: it serves the base graph, with every
+    /// deny-bearing role masked out, until a later re-materialization
+    /// succeeds. Every transition is audited.
     fn rematerialize(&mut self) {
         self.rematerialize_with_budget(self.config.request_budget);
     }
@@ -861,12 +867,26 @@ impl GSacs {
                 self.audit_push(AuditEntry {
                     role: "system".to_string(),
                     action: "degrade".to_string(),
-                    target: format!("reasoner unavailable ({e}); serving conservative views"),
+                    target: format!(
+                        "reasoner unavailable ({e}); serving un-inferred data, deny-bearing roles masked"
+                    ),
                     allowed: false,
                     trace_id,
                 });
             }
         }
+        // Every query scans the served graph itself, so fold the
+        // materializer's novelty overlay into the runs once here rather
+        // than merging it on every read (and losing the merge-join fast
+        // path on every predicate it touches).
+        self.data.compact();
+        self.compile_labels();
+    }
+
+    /// Recompile the labels over the served dataset from scratch.
+    fn compile_labels(&mut self) {
+        let _span = grdf_obs::span("labels.compile").tag("triples", self.data.len());
+        self.labels = LabelIr::compile(&self.data, &self.policies);
     }
 
     /// Name of the plugged-in reasoning engine.
@@ -892,32 +912,84 @@ impl GSacs {
         self.degraded.load(Ordering::Acquire)
     }
 
-    /// The secure view for a role (cached). Concurrent first requests for
-    /// a role build its view once: the build happens under the cache lock.
-    pub fn view_for(&self, role: &str) -> Arc<Graph> {
-        let mut state = self.views.lock();
-        if let Some(v) = state.views.get(role) {
-            return Arc::clone(v);
+    /// The served-state epoch: bumped on every applied update.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// The compiled policy labels the request path enforces.
+    pub fn labels(&self) -> &LabelIr {
+        &self.labels
+    }
+
+    /// A request's authorization set for `role`: its label bit, masked
+    /// out entirely in degraded mode when an effective deny applies to it
+    /// (without inference such a deny cannot be evaluated safely).
+    fn authorizations(&self, role: &str) -> VisBitset {
+        let mut auths = self.labels.authorizations(role);
+        if self.is_degraded() {
+            auths.remove_all(self.labels.deny_bearing());
         }
-        *state.builds.entry(role.to_string()).or_insert(0) += 1;
-        let (view, stats, mut trace) = if self.is_degraded() {
-            conservative_view_explained(&self.data, &self.policies, role)
-        } else {
-            secure_view_explained(&self.data, &self.policies, role)
-        };
-        trace.trace_id = grdf_obs::current_trace_id().unwrap_or(TraceId::NONE);
-        let view = Arc::new(view);
-        state.views.insert(role.to_string(), Arc::clone(&view));
-        state.stats.insert(role.to_string(), stats);
-        state.traces.insert(role.to_string(), trace);
+        auths
+    }
+
+    /// Diagnostic: the subgraph of the served dataset the role's labels
+    /// show — exactly what its queries are evaluated against. Memoized per
+    /// role until the next applied update; no request path calls it.
+    pub fn view_for(&self, role: &str) -> Arc<Graph> {
+        let epoch = self.epoch();
+        let mut memo = self.view_memo.lock();
+        if let Some((built, view)) = memo.get(role) {
+            if *built == epoch {
+                return Arc::clone(view);
+            }
+        }
+        let view = Arc::new(
+            self.labels
+                .filtered_view(&self.data, &self.authorizations(role)),
+        );
+        memo.insert(role.to_string(), (epoch, Arc::clone(&view)));
         view
     }
 
-    /// The decision trace from a role's most recent view build: which
-    /// policies were consulted, which permit/deny rules matched, and the
-    /// inference steps that connected resources to policy targets.
+    /// The decision trace behind a role's most recent traced request:
+    /// which of its effective policies were consulted, which permit/deny
+    /// rules matched, and the inference steps that connected resources to
+    /// policy targets. Recomputed on demand with the reference view
+    /// builder over the role's effective policy set; `None` when no traced
+    /// request for the role was served.
     pub fn decision_trace_for(&self, role: &str) -> Option<DecisionTrace> {
-        self.views.lock().traces.get(role).cloned()
+        let trace_id = self.last_trace.lock().get(role).copied()?;
+        let effective = self.labels.effective_policy_set(&self.policies, role);
+        let degraded = self.is_degraded();
+        let masked = degraded
+            && self
+                .labels
+                .role_bit(role)
+                .is_some_and(|b| self.labels.deny_bearing().get(b));
+        let mut trace = if masked {
+            DecisionTrace {
+                role: role.to_string(),
+                consulted: effective.policies.iter().map(|p| p.id.clone()).collect(),
+                denying: effective
+                    .policies
+                    .iter()
+                    .filter(|p| p.decision == Decision::Deny)
+                    .map(|p| p.id.clone())
+                    .collect(),
+                inference: vec![
+                    "reasoner unavailable: deny policies may depend on missing entailments"
+                        .to_string(),
+                ],
+                suppressed: self.data.len(),
+                ..DecisionTrace::default()
+            }
+        } else {
+            secure_view_explained(&self.data, &effective, role).2
+        };
+        trace.trace_id = trace_id;
+        trace.degraded = degraded;
+        Some(trace)
     }
 
     /// The service's observability context (metrics registry + trace
@@ -930,16 +1002,6 @@ impl GSacs {
     /// the server layer evaluates these for its degraded-admission hook.
     pub fn slos(&self) -> &[grdf_obs::Objective] {
         &self.config.slos
-    }
-
-    /// View construction statistics for a role (if its view was built).
-    pub fn view_stats_for(&self, role: &str) -> Option<ViewStats> {
-        self.views.lock().stats.get(role).copied()
-    }
-
-    /// Cumulative number of times a role's view was (re)built.
-    pub fn view_builds_for(&self, role: &str) -> u64 {
-        self.views.lock().builds.get(role).copied().unwrap_or(0)
     }
 
     fn inject(&self, stage: Stage) -> Result<(), GsacsError> {
@@ -1042,10 +1104,10 @@ impl GSacs {
         self.audit_sink_errors.load(Ordering::Relaxed)
     }
 
-    /// Handle a client request: admission → cache lookup → secure view →
-    /// deadline-bounded query. Fail-closed: every outcome, success or
-    /// failure, produces exactly one audit entry, and no error path
-    /// returns data.
+    /// Handle a client request: admission → cache lookup → authorization
+    /// set → deadline-bounded, label-filtered query. Fail-closed: every
+    /// outcome, success or failure, produces exactly one audit entry, and
+    /// no error path returns data.
     pub fn handle(&self, request: &ClientRequest) -> Result<QueryResult, GsacsError> {
         self.handle_with_budget(request, Budget::UNLIMITED)
     }
@@ -1054,8 +1116,8 @@ impl GSacs {
     /// request's `Deadline-Ms` header). The effective deadline is the
     /// *stricter* of `budget` and the service-wide request budget — a
     /// remote caller can tighten its own deadline but never extend the
-    /// service's, and the deadline propagates into view construction,
-    /// query evaluation, and the reasoner fixpoint.
+    /// service's, and the deadline propagates into query evaluation and
+    /// the reasoner fixpoint.
     pub fn handle_with_budget(
         &self,
         request: &ClientRequest,
@@ -1127,23 +1189,26 @@ impl GSacs {
         deadline
             .check()
             .map_err(|_| GsacsError::DeadlineExceeded { stage: Stage::View })?;
-        let view = self.view_for(&request.role);
-        // Per-tenant cost accounting: the view is the candidate set the
-        // query evaluator walks, so its size is the "triples scanned"
-        // charge for this request.
-        grdf_obs::win_add("gsacs.scanned", view.len() as u64);
+        let auths = self.authorizations(&request.role);
+        let mask = self.labels.table.mask(&auths);
         if grdf_obs::tracing_active() {
-            let span = grdf_obs::span("gsacs.decision");
-            if let Some(t) = self.decision_trace_for(&request.role) {
-                drop(
-                    span.tag("permitting", t.permitting.len())
-                        .tag("denying", t.denying.len())
-                        .tag("granted", t.granted),
-                );
-            }
+            let trace_id = grdf_obs::current_trace_id().unwrap_or(TraceId::NONE);
+            self.last_trace
+                .lock()
+                .insert(request.role.clone(), trace_id);
+            drop(
+                grdf_obs::span("gsacs.decision")
+                    .tag("roles", auths.count_ones())
+                    .tag("classes", self.labels.table.class_count()),
+            );
         }
         self.inject(Stage::Query)?;
-        let result = execute_with_deadline(&view, &request.query, &deadline)?;
+        let (result, examined) = execute_masked(&self.data, &mask, &request.query, &deadline)?;
+        // Per-tenant cost accounting: the visible triples the filtered scan
+        // read. Hidden triples are never charged, so the figure (exported
+        // per tenant on `/metrics`) cannot reveal whether hidden data
+        // matches a pattern.
+        grdf_obs::win_add("gsacs.scanned", examined);
         self.query_cache
             .lock()
             .put(&request.role, &request.query, result.clone());
@@ -1153,8 +1218,10 @@ impl GSacs {
     /// Handle a mutation: every operation is policy-checked with the
     /// matching action (`Edit` for inserts, `Delete` for deletions); on the
     /// first refusal nothing is applied. Successful updates mutate the
-    /// un-inferred base, re-materialize from it (so deleted triples cannot
-    /// leave stale entailments behind), and invalidate the caches.
+    /// un-inferred base, bring the served dataset and its labels up to
+    /// date (deletions re-materialize from the base, so they cannot leave
+    /// stale entailments behind), bump the epoch and clear the query
+    /// cache.
     pub fn handle_update(&mut self, request: &UpdateRequest) -> UpdateOutcome {
         self.handle_update_with_budget(request, Budget::UNLIMITED)
     }
@@ -1224,7 +1291,7 @@ impl GSacs {
                     }
                 }
             }
-            let report = self.lint_graph(&tentative);
+            let report = self.lint_graph(&tentative, None);
             if report.has_errors() {
                 let enforce = self.config.lint_gate == LintGate::Enforce;
                 let first = report
@@ -1306,8 +1373,8 @@ impl GSacs {
             } else {
                 grdf_obs::incr("gsacs.update.full");
                 self.rematerialize_with_budget(budget);
-                self.invalidate();
             }
+            self.invalidate();
             self.checkpoint_if_due(trace_id);
         }
         UpdateOutcome::Applied(changed)
@@ -1315,8 +1382,9 @@ impl GSacs {
 
     /// Extend the served dataset with an additive batch: insert the new
     /// triples, run the engine's delta materialization from a generation
-    /// marker, and invalidate only the roles whose secure views the delta
-    /// can affect. Any engine failure falls back to the full rebuild path
+    /// marker, and relabel what the delta (asserted plus inferred) touches
+    /// — or recompile the labels when it carries schema or role-hierarchy
+    /// triples. Any engine failure falls back to the full rebuild path
     /// (which handles degradation and auditing).
     fn apply_incremental(&mut self, ops: &[UpdateOp], budget: Budget) {
         let span = grdf_obs::span("gsacs.update.incremental").tag("engine", self.engine.name());
@@ -1333,72 +1401,26 @@ impl GSacs {
         {
             Ok(inferred) => {
                 self.inferred += inferred;
-                let delta = self.data.delta_since(mark);
-                let span = span
-                    .tag("ok", true)
-                    .tag("delta", delta.len())
-                    .tag("inferred", inferred);
-                if let Some(roles) = self.affected_roles(&delta) {
-                    self.invalidate_roles(&roles);
-                    drop(span.tag("invalidated_roles", roles.len()));
+                let delta = self.data.delta_ids_since(mark);
+                let relabel = if self.labels.relabel(&self.data, &delta) {
+                    "delta"
                 } else {
-                    // Schema-level delta: every view may change.
-                    self.invalidate();
-                    drop(span.tag("invalidated_roles", "all"));
-                }
+                    self.compile_labels();
+                    "full"
+                };
+                drop(
+                    span.tag("ok", true)
+                        .tag("delta", delta.len())
+                        .tag("inferred", inferred)
+                        .tag("relabel", relabel),
+                );
                 grdf_obs::incr("gsacs.update.incremental");
             }
             Err(e) => {
                 drop(span.tag("ok", false).tag("error", e));
                 grdf_obs::incr("gsacs.update.full");
                 self.rematerialize_with_budget(budget);
-                self.invalidate();
             }
-        }
-    }
-
-    /// The roles whose secure views an additive delta can change, or
-    /// `None` when every view must be rebuilt. A role is affected when a
-    /// delta triple's subject is (or is typed as) a resource one of the
-    /// role's policies governs — permits can reveal the new triples, and
-    /// denies can newly suppress the subject's existing ones. Deltas that
-    /// touch RDFS/OWL vocabulary change the hierarchy the policy matcher
-    /// and view builder consult, so they invalidate everything.
-    fn affected_roles(&self, delta: &[Triple]) -> Option<HashSet<String>> {
-        let ty = Term::iri(rdf::TYPE);
-        let mut roles = HashSet::new();
-        for t in delta {
-            let pred = t.predicate.as_iri()?;
-            if pred.starts_with(vocab_rdfs::NS) || pred.starts_with(vocab_owl::NS) {
-                return None;
-            }
-            for policy in &self.policies.policies {
-                if roles.contains(&policy.role) {
-                    continue;
-                }
-                let resource = Term::iri(&policy.resource);
-                if t.subject == resource || self.data.has(&t.subject, &ty, &resource) {
-                    roles.insert(policy.role.clone());
-                }
-            }
-        }
-        Some(roles)
-    }
-
-    /// Selective cache invalidation: drop only the named roles' cached
-    /// queries and secure views.
-    fn invalidate_roles(&self, roles: &HashSet<String>) {
-        {
-            let mut cache = self.query_cache.lock();
-            for role in roles {
-                cache.invalidate_role(role);
-            }
-        }
-        let mut views = self.views.lock();
-        for role in roles {
-            views.views.remove(role);
-            views.stats.remove(role);
-            views.traces.remove(role);
         }
     }
 
@@ -1438,13 +1460,13 @@ impl GSacs {
         self.query_cache.lock().hit_rate()
     }
 
-    /// Invalidate caches (after a data change).
+    /// Invalidate everything cached against the served state (after a
+    /// data change): bump the epoch and clear the query cache and the
+    /// [`GSacs::view_for`] memo.
     pub fn invalidate(&self) {
+        self.epoch.fetch_add(1, Ordering::AcqRel);
         self.query_cache.lock().invalidate();
-        let mut views = self.views.lock();
-        views.views.clear();
-        views.stats.clear();
-        views.traces.clear();
+        self.view_memo.lock().clear();
     }
 
     /// A point-in-time health snapshot. When objectives are declared in
@@ -1460,10 +1482,10 @@ impl GSacs {
             _ => Vec::new(),
         };
         let (cache_hits, cache_misses) = self.cache_stats();
-        let (view_cache_entries, audit_entries, audit_dropped) = {
-            let views = self.views.lock();
+        let view_cache_entries = self.view_memo.lock().len();
+        let (audit_entries, audit_dropped) = {
             let audit = self.audit.lock();
-            (views.views.len(), audit.len(), audit.dropped())
+            (audit.len(), audit.dropped())
         };
         HealthReport {
             reasoner: self.engine.name(),
@@ -1548,6 +1570,7 @@ mod tests {
     use crate::resilience::{BreakerConfig, BreakerState};
     use grdf_feature::feature::Feature;
     use grdf_feature::rdf_codec::encode_feature;
+    use grdf_rdf::term::{Term, Triple};
     use grdf_rdf::vocab::grdf;
     use grdf_runtime::Clock;
     use grdf_runtime::ManualClock;
@@ -1769,18 +1792,47 @@ mod tests {
     }
 
     #[test]
-    fn view_stats_recorded() {
-        let svc = service(4);
-        let _ = svc.view_for(&grdf::sec("MainRep"));
-        let stats = svc.view_stats_for(&grdf::sec("MainRep")).unwrap();
-        assert!(stats.suppressed > 0, "chem data suppressed for main repair");
-        assert_eq!(svc.view_builds_for(&grdf::sec("MainRep")), 1);
-        let _ = svc.view_for(&grdf::sec("MainRep"));
-        assert_eq!(
-            svc.view_builds_for(&grdf::sec("MainRep")),
-            1,
-            "cached view not rebuilt"
+    fn role_view_is_memoized_until_the_epoch_moves() {
+        use grdf_rdf::term::{Term, Triple};
+        let mut svc = service(4);
+        let main_rep = grdf::sec("MainRep");
+        let view = svc.view_for(&main_rep);
+        let code = Term::iri(&grdf::app("hasChemCode"));
+        assert!(
+            view.match_pattern(None, Some(&code), None).is_empty(),
+            "chem data suppressed for main repair"
         );
+        assert!(!view.is_empty(), "the stream stays visible");
+        assert!(Arc::ptr_eq(&view, &svc.view_for(&main_rep)), "memoized");
+        // A delete-only batch leaves the graph generation where it was;
+        // the epoch still moves, so the memo cannot serve the old state.
+        let generation = svc.dataset().generation();
+        let epoch = svc.epoch();
+        let stream = Term::iri(&grdf::app("WhiteRock"));
+        let id = Term::iri(&grdf::app("hasObjectID"));
+        let gone = svc
+            .dataset()
+            .match_pattern(Some(&stream), Some(&id), None)
+            .remove(0);
+        svc.policies.push(crate::policy::Policy {
+            action: crate::policy::Action::Delete,
+            ..Policy::permit("urn:pd", &main_rep, &grdf::app("Stream"))
+        });
+        let out = svc.handle_update(&UpdateRequest {
+            role: main_rep.clone(),
+            ops: vec![UpdateOp::Delete(Triple::new(
+                gone.subject.clone(),
+                gone.predicate.clone(),
+                gone.object.clone(),
+            ))],
+        });
+        assert_eq!(out, UpdateOutcome::Applied(1));
+        assert!(svc.epoch() > epoch);
+        assert_eq!(svc.health().view_cache_entries, 0, "old views dropped");
+        assert!(svc.dataset().generation() <= generation + svc.inferred as u64);
+        let after = svc.view_for(&main_rep);
+        assert!(!Arc::ptr_eq(&view, &after));
+        assert!(view.contains(&gone) && !after.contains(&gone));
     }
 
     #[test]
@@ -2123,7 +2175,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_update_preserves_unaffected_role_caches() {
+    fn incremental_update_relabels_only_the_delta() {
         use grdf_rdf::term::{Term, Triple};
         use grdf_rdf::vocab::rdf;
         let mut data = Graph::new();
@@ -2154,11 +2206,23 @@ mod tests {
             data,
             8,
         );
-        svc.view_for("urn:chem-viewer");
-        svc.view_for("urn:stream-viewer");
-        assert_eq!(svc.view_builds_for("urn:chem-viewer"), 1);
-        assert_eq!(svc.view_builds_for("urn:stream-viewer"), 1);
-        // Additive update touching only ChemSite resources.
+        let names = format!(
+            "PREFIX app: <{}>\nSELECT ?n WHERE {{ ?s app:hasSiteName ?n }}",
+            grdf::APP_NS
+        );
+        let ask = |svc: &GSacs, role: &str| {
+            svc.handle(&ClientRequest {
+                role: role.into(),
+                query: names.clone(),
+            })
+            .unwrap()
+            .select_rows()
+            .len()
+        };
+        assert_eq!(ask(&svc, "urn:chem-viewer"), 0);
+        // Additive update touching only ChemSite resources, with a
+        // predicate the labels have never classified.
+        let full = svc.obs().registry().counter("gsacs.update.full");
         let out = svc.handle_update(&UpdateRequest {
             role: "urn:chem-viewer".into(),
             ops: vec![UpdateOp::Insert(Triple::new(
@@ -2168,16 +2232,21 @@ mod tests {
             ))],
         });
         assert_eq!(out, UpdateOutcome::Applied(1));
-        // Affected role: view dropped and rebuilt on next access.
-        svc.view_for("urn:chem-viewer");
-        assert_eq!(svc.view_builds_for("urn:chem-viewer"), 2);
-        // Unaffected role: cached view survives the update.
-        svc.view_for("urn:stream-viewer");
-        assert_eq!(
-            svc.view_builds_for("urn:stream-viewer"),
-            1,
-            "selective invalidation must not evict unaffected roles"
-        );
+        assert_eq!(full.get(), 0, "no full rebuild, no recompile");
+        // The patched labels show every role what a fresh compile of the
+        // served state shows…
+        let fresh = LabelIr::compile(svc.dataset(), &svc.policies);
+        for role in ["urn:chem-viewer", "urn:stream-viewer"] {
+            let auths = fresh.authorizations(role);
+            assert_eq!(
+                svc.labels().filtered_view(svc.dataset(), &auths),
+                fresh.filtered_view(svc.dataset(), &auths),
+                "{role}"
+            );
+        }
+        // …so the affected role sees the new triple and the other does not.
+        assert_eq!(ask(&svc, "urn:chem-viewer"), 1);
+        assert_eq!(ask(&svc, "urn:stream-viewer"), 0);
     }
 
     #[test]
@@ -2222,7 +2291,7 @@ mod tests {
             .collect();
         assert_eq!(spans.len(), 1, "additive update emits the incremental span");
         assert_eq!(spans[0].tag("ok"), Some("true"));
-        assert_eq!(spans[0].tag("invalidated_roles"), Some("1"));
+        assert_eq!(spans[0].tag("relabel"), Some("delta"));
         assert!(
             records
                 .iter()
@@ -2271,8 +2340,8 @@ mod tests {
         assert!(denials
             .iter()
             .any(|e| e.action == "degrade" && e.role == "system"));
-        // Direct (non-inferred) data is still served under conservative
-        // views: Emergency's permits need no inference here.
+        // Direct (non-inferred) data is still served: Emergency carries no
+        // deny, so the degraded mask leaves it its permits.
         let req = ClientRequest {
             role: grdf::sec("Emergency"),
             query: chem_query(),

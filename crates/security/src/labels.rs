@@ -1,11 +1,16 @@
 //! Label-compilation IR and the whole-policy-set static analyzer.
 //!
-//! This is ROADMAP item 1's substrate: compile the List-8 policy set plus
-//! the role hierarchy (`sec:subRoleOf`) into per-triple visibility bitsets
-//! over the interned-id graph — the Accumulo/GeoMesa cell-level model.
-//! A session resolves its role(s) to an authorization bitset once
-//! ([`LabelIr::authorizations`]); every scan then filters with a single
-//! bitset intersection per triple, with zero per-role state.
+//! Compile the List-8 policy set plus the role hierarchy (`sec:subRoleOf`)
+//! into visibility labels over the interned-id graph — the Accumulo/GeoMesa
+//! cell-level model, keyed by subject. A triple's label depends only on
+//! its subject and predicate: a non-blank instance subject's class comes
+//! from the policies that designate it, a blank node's from the roles its
+//! visible owners pass down, and a predicate's class from the property
+//! conditions that name it ([`grdf_rdf::labels::SubjectLabels`]). A request
+//! resolves its role to an authorization bitset once
+//! ([`LabelIr::authorizations`], [`SubjectLabels::mask`]); the query scan
+//! then tests each triple with array loads, with zero per-role state.
+//! Additive updates patch the table from their delta ([`LabelIr::relabel`]).
 //!
 //! Compilation resolves the *effective* policy set per role up front: a
 //! sub-role inherits every ancestor's policies and deny-overrides applies
@@ -37,7 +42,7 @@ use grdf_owl::hierarchy::Hierarchy;
 use grdf_owl::reasoner::Reasoner;
 use grdf_rdf::diagnostic::{Diagnostic, LintCode};
 use grdf_rdf::graph::{Graph, TermId};
-use grdf_rdf::labels::{LabelColumn, TripleLabels, VisBitset};
+use grdf_rdf::labels::{LabelId, SubjectLabels, VisBitset, HIDDEN};
 use grdf_rdf::term::{Term, Triple};
 use grdf_rdf::vocab::{grdf, owl, rdf, rdfs};
 
@@ -233,33 +238,115 @@ pub struct CompiledPolicy {
     pub allowed: Option<BTreeSet<TermId>>,
 }
 
-/// What one role's effective policies conclude about one subject.
-#[derive(Debug, Clone, Default)]
-struct SubjectGrant {
-    /// An effective Deny matches: nothing is visible.
-    denied: bool,
-    /// At least one effective Permit matches (grants at least `rdf:type`).
-    any_permit: bool,
-    /// An unconditional Permit matches: every predicate visible.
-    all_preds: bool,
-    /// Predicates granted by conditioned permits.
-    preds: BTreeSet<TermId>,
+/// What one role's effective View policies conclude about one subject.
+/// Normalized so that grants with equal effect compare equal: a grant
+/// that shows nothing, or everything, carries no conditioned permits.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct RoleGrant {
+    /// An effective View permit matches and no effective View deny does.
+    visible: bool,
+    /// An unconditional permit matches: every predicate is visible.
+    all: bool,
+    /// Indices of the matching property-conditioned permits, ascending.
+    conds: Vec<usize>,
 }
 
-impl SubjectGrant {
-    fn grants(&self, pred: TermId, type_id: Option<TermId>) -> bool {
-        if self.denied || !self.any_permit {
-            return false;
+impl RoleGrant {
+    /// Does the grant show the subject's triples of predicate class
+    /// `pred`?
+    fn shows(&self, pred: &PredKey) -> bool {
+        self.visible
+            && pred.iri
+            && (pred.is_type
+                || self.all
+                || self
+                    .conds
+                    .iter()
+                    .any(|c| pred.allowed_by.binary_search(c).is_ok()))
+    }
+}
+
+/// What decides a subject class's row of the label grid.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum ClassKey {
+    /// A non-blank instance subject: one grant per role bit.
+    Granted(Vec<RoleGrant>),
+    /// A blank node: the roles its visible owners pass down (all of its
+    /// triples share them).
+    Reached(VisBitset),
+}
+
+/// What decides a predicate class's column of the label grid.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct PredKey {
+    /// Non-IRI predicates are never granted directly.
+    iri: bool,
+    /// `rdf:type`, visible under any permit.
+    is_type: bool,
+    /// Conditioned View permits whose conditions allow the predicate,
+    /// ascending.
+    allowed_by: Vec<usize>,
+}
+
+impl PredKey {
+    /// Predicate class 0: an IRI no permit condition names.
+    fn plain() -> PredKey {
+        PredKey {
+            iri: true,
+            is_type: false,
+            allowed_by: Vec::new(),
         }
-        if Some(pred) == type_id {
-            return true;
+    }
+}
+
+/// The roles that see a (subject class, predicate class) combination.
+fn grid_cell(key: &ClassKey, pred: &PredKey, width: usize) -> VisBitset {
+    match key {
+        ClassKey::Reached(bits) => bits.clone(),
+        ClassKey::Granted(grants) => {
+            let mut bits = VisBitset::new(width);
+            for (b, g) in grants.iter().enumerate() {
+                if g.shows(pred) {
+                    bits.set(b);
+                }
+            }
+            bits
         }
-        self.all_preds || self.preds.contains(&pred)
+    }
+}
+
+/// Does a type make its subject an instance (a non-OWL/RDFS class)?
+fn is_instance_type(term: &Term) -> bool {
+    term.as_iri()
+        .is_some_and(|i| !i.starts_with(owl::NS) && !i.starts_with(rdfs::NS))
+}
+
+/// Designator lookups for one label pass: policy indices by the term id
+/// of the designator IRI, and by the term id of each class in the
+/// designator's subclass cone.
+struct MatchMaps {
+    by_iri: HashMap<TermId, Vec<usize>>,
+    by_type: HashMap<TermId, Vec<usize>>,
+}
+
+impl MatchMaps {
+    /// Policies designating `s` (by IRI, or through one of `types`),
+    /// ascending.
+    fn matched(&self, s: TermId, types: &[TermId]) -> Vec<usize> {
+        let mut m: Vec<usize> = self.by_iri.get(&s).cloned().unwrap_or_default();
+        for t in types {
+            if let Some(ps) = self.by_type.get(t) {
+                m.extend_from_slice(ps);
+            }
+        }
+        m.sort_unstable();
+        m.dedup();
+        m
     }
 }
 
 /// The compiled label IR: roles, effective policy sets, per-policy match
-/// sets, and the per-triple visibility table.
+/// sets, and the per-subject label table.
 #[derive(Debug, Clone)]
 pub struct LabelIr {
     /// Every role, sorted; a role's index is its bit in every
@@ -273,11 +360,9 @@ pub struct LabelIr {
     /// Per role bit: indices of its effective policies (own plus every
     /// transitive ancestor's), ascending.
     pub effective: Vec<Vec<usize>>,
-    /// The per-triple visibility table.
-    pub labels: TripleLabels,
-    /// The table sealed as a scan-order parallel column over the compile
-    /// graph — the filtered scan's zero-hash fast path.
-    pub column: LabelColumn,
+    /// The per-subject label table over the compile graph: the only label
+    /// state a scan reads.
+    pub table: SubjectLabels,
     /// Subjects that pass the instance test (typed with at least one
     /// non-OWL/RDFS class) and are not blank — the subjects secure views
     /// evaluate policies over.
@@ -286,17 +371,29 @@ pub struct LabelIr {
     /// named-path subclass closure), for matching subjects that only
     /// appear in derived graphs.
     cones: HashMap<String, HashSet<Term>>,
+    /// Each policy's conditions, for classifying predicates first seen
+    /// after the compile.
+    conditions: Vec<Vec<Condition>>,
     type_id: Option<TermId>,
+    /// Subject class keys by class id (`[HIDDEN]` is an empty reach).
+    class_keys: Vec<ClassKey>,
+    class_ids: HashMap<ClassKey, LabelId>,
+    /// Predicate class keys by class id.
+    pred_keys: Vec<PredKey>,
+    pred_ids: HashMap<PredKey, u32>,
+    /// Predicates already given a class.
+    classified: HashSet<TermId>,
+    /// Roles with any effective deny.
+    deny_bearing: VisBitset,
 }
 
 impl LabelIr {
     /// Compile `policies` (plus the `sec:subRoleOf` hierarchy found in
-    /// `data`) into per-triple visibility bitsets over `data`. Materialize
+    /// `data`) into the per-subject label table over `data`. Materialize
     /// `data` first for full semantics-aware matching, exactly as for
     /// [`secure_view`].
     #[must_use]
     pub fn compile(data: &Graph, policies: &PolicySet) -> LabelIr {
-        let _span = grdf_obs::span("labels.compile");
         let hierarchy = RoleHierarchy::decode(data);
         let mut role_set: BTreeSet<String> =
             policies.policies.iter().map(|p| p.role.clone()).collect();
@@ -322,6 +419,15 @@ impl LabelIr {
                     .collect()
             })
             .collect();
+        let mut deny_bearing = VisBitset::new(roles.len());
+        for (b, eff) in effective.iter().enumerate() {
+            if eff
+                .iter()
+                .any(|&i| policies.policies[i].decision == Decision::Deny)
+            {
+                deny_bearing.set(b);
+            }
+        }
 
         // Subject-match cones per distinct designator: the designator plus
         // every class reachable downward along named-class paths (blank
@@ -349,119 +455,374 @@ impl LabelIr {
             cones.insert(p.resource.clone(), cone);
         }
 
-        // Distinct IRI predicates and their transitive superproperties
-        // (walked through every parent, blank or named — mirroring the
-        // evaluator's `is_subproperty_of`).
-        let sub_prop_of = Term::iri(rdfs::SUB_PROPERTY_OF);
-        let mut pred_terms: HashMap<TermId, Term> = HashMap::new();
-        data.for_each_match_ids(None, None, None, |_, p, _| {
-            pred_terms
-                .entry(p)
-                .or_insert_with(|| data.term_of(p).clone());
-        });
-        let mut pred_supers: HashMap<TermId, HashSet<String>> = HashMap::new();
-        for (pid, pterm) in &pred_terms {
-            if pterm.as_iri().is_none() {
-                continue;
-            }
-            let mut supers: HashSet<String> = HashSet::new();
-            let mut seen: HashSet<Term> = HashSet::new();
-            let mut stack = vec![pterm.clone()];
-            while let Some(cur) = stack.pop() {
-                for parent in data.objects(&cur, &sub_prop_of) {
-                    if let Some(i) = parent.as_iri() {
-                        supers.insert(i.to_string());
-                    }
-                    if seen.insert(parent.clone()) {
-                        stack.push(parent);
-                    }
-                }
-            }
-            pred_supers.insert(*pid, supers);
-        }
-
-        // Compile each policy: subject-match set plus resolved predicate
-        // set for its conditions.
-        let type_id = data.term_id(&Term::iri(rdf::TYPE));
-        let all_subjects = data.all_subjects();
-        let mut compiled: Vec<CompiledPolicy> = policies
+        let compiled: Vec<CompiledPolicy> = policies
             .policies
             .iter()
             .enumerate()
-            .map(|(index, p)| {
-                let allowed = if p.conditions.is_empty() {
-                    None
-                } else {
-                    let mut preds = BTreeSet::new();
-                    for (pid, pterm) in &pred_terms {
-                        let Some(q) = pterm.as_iri() else { continue };
-                        let empty = HashSet::new();
-                        let supers = pred_supers.get(pid).unwrap_or(&empty);
-                        let ok = p.conditions.iter().all(|c| match c {
-                            Condition::PropertyAccess(props) => {
-                                props.iter().any(|a| a.as_str() == q || supers.contains(a))
-                            }
-                        });
-                        if ok {
-                            preds.insert(*pid);
-                        }
-                    }
-                    Some(preds)
-                };
-                CompiledPolicy {
-                    index,
-                    id: p.id.clone(),
-                    role: p.role.clone(),
-                    action: p.action,
-                    decision: p.decision,
-                    resource: p.resource.clone(),
-                    matches: BTreeSet::new(),
-                    allowed,
-                }
+            .map(|(index, p)| CompiledPolicy {
+                index,
+                id: p.id.clone(),
+                role: p.role.clone(),
+                action: p.action,
+                decision: p.decision,
+                resource: p.resource.clone(),
+                matches: BTreeSet::new(),
+                allowed: (!p.conditions.is_empty()).then(BTreeSet::new),
             })
             .collect();
-
-        // Instance test and subject-match sets in one subject sweep.
-        let mut instance_subjects: BTreeSet<TermId> = BTreeSet::new();
-        let type_term = Term::iri(rdf::TYPE);
-        for subject in &all_subjects {
-            let Some(sid) = data.term_id(subject) else {
-                continue;
-            };
-            let types = data.objects(subject, &type_term);
-            let is_instance = types.iter().any(|t| {
-                t.as_iri()
-                    .is_some_and(|i| !i.starts_with(owl::NS) && !i.starts_with(rdfs::NS))
-            });
-            if is_instance && !subject.is_blank() {
-                instance_subjects.insert(sid);
-            }
-            for (p, c) in policies.policies.iter().zip(compiled.iter_mut()) {
-                let hit = subject.as_iri() == Some(p.resource.as_str())
-                    || types
-                        .iter()
-                        .any(|t| cones.get(&p.resource).is_some_and(|cone| cone.contains(t)));
-                if hit {
-                    c.matches.insert(sid);
-                }
-            }
-        }
-
+        let width = roles.len();
+        let hidden = ClassKey::Reached(VisBitset::new(width));
         let mut ir = LabelIr {
             roles,
             role_index,
             hierarchy,
             policies: compiled,
             effective,
-            labels: TripleLabels::new(0, data.generation()),
-            column: LabelColumn::default(),
-            instance_subjects,
+            table: SubjectLabels::new(width),
+            instance_subjects: BTreeSet::new(),
             cones,
-            type_id,
+            conditions: policies
+                .policies
+                .iter()
+                .map(|p| p.conditions.clone())
+                .collect(),
+            type_id: data.term_id(&Term::iri(rdf::TYPE)),
+            class_keys: vec![hidden.clone()],
+            class_ids: HashMap::from([(hidden, HIDDEN)]),
+            pred_keys: vec![PredKey::plain()],
+            pred_ids: HashMap::from([(PredKey::plain(), 0)]),
+            classified: HashSet::new(),
+            deny_bearing,
         };
-        ir.labels = ir.compile_labels(data, None);
-        ir.column = ir.labels.to_column(data);
+
+        // Every triple in subject order, once: classify its predicates,
+        // then sweep the subjects.
+        let mut spo: Vec<(TermId, TermId, TermId)> = Vec::with_capacity(data.len());
+        data.for_each_match_ids(None, None, None, |s, p, o| spo.push((s, p, o)));
+        let mut is_pred = vec![false; data.term_count()];
+        for &(_, p, _) in &spo {
+            is_pred[p as usize] = true;
+        }
+        for (p, _) in is_pred.iter().enumerate().filter(|(_, &used)| used) {
+            ir.classify_predicate(data, TermId::try_from(p).expect("term ids fit u32"));
+        }
+        ir.sweep_subjects(data, &spo);
         ir
+    }
+
+    /// The subject sweep: every subject's designator matches and class,
+    /// then the reach of the blank nodes its granted triples expose.
+    fn sweep_subjects(&mut self, data: &Graph, spo: &[(TermId, TermId, TermId)]) {
+        let maps = self.match_maps(data);
+        let mut seeds = Vec::new();
+        for group in spo.chunk_by(|a, b| a.0 == b.0) {
+            let s = group[0].0;
+            let types: Vec<TermId> = group
+                .iter()
+                .filter(|t| Some(t.1) == self.type_id)
+                .map(|t| t.2)
+                .collect();
+            if self.grant_subject(data, &maps, s, &types) != HIDDEN {
+                seeds.extend(
+                    group
+                        .iter()
+                        .map(|t| t.2)
+                        .filter(|&o| data.term_of(o).is_blank()),
+                );
+            }
+        }
+        self.rereach(data, seeds);
+    }
+
+    /// Record which policies designate subject `s` (typed `types`) and
+    /// give it its class: from those policies' grants when it is a
+    /// non-blank instance, [`HIDDEN`] otherwise. Blank nodes keep the
+    /// class their reach gives them. Returns the class.
+    fn grant_subject(
+        &mut self,
+        data: &Graph,
+        maps: &MatchMaps,
+        s: TermId,
+        types: &[TermId],
+    ) -> LabelId {
+        let matched = maps.matched(s, types);
+        for &i in &matched {
+            self.policies[i].matches.insert(s);
+        }
+        if data.term_of(s).is_blank() {
+            return self.table.subject_class(s);
+        }
+        let class = if types.iter().any(|&t| is_instance_type(data.term_of(t))) {
+            self.instance_subjects.insert(s);
+            self.class_for_matches(&matched)
+        } else {
+            HIDDEN
+        };
+        self.table.set_subject(s, class);
+        class
+    }
+
+    fn match_maps(&self, data: &Graph) -> MatchMaps {
+        let mut maps = MatchMaps {
+            by_iri: HashMap::new(),
+            by_type: HashMap::new(),
+        };
+        for (i, c) in self.policies.iter().enumerate() {
+            if let Some(id) = data.term_id(&Term::iri(&c.resource)) {
+                maps.by_iri.entry(id).or_default().push(i);
+            }
+            for t in self.cones.get(&c.resource).into_iter().flatten() {
+                if let Some(id) = data.term_id(t) {
+                    maps.by_type.entry(id).or_default().push(i);
+                }
+            }
+        }
+        maps
+    }
+
+    /// Role `bit`'s grant on a subject its effective View policies
+    /// designate where `designates` holds, optionally with one policy
+    /// excluded (the S007 counterfactual). Deny overrides permit.
+    fn role_grant(
+        &self,
+        bit: usize,
+        designates: impl Fn(usize) -> bool,
+        exclude: Option<usize>,
+    ) -> RoleGrant {
+        let mut g = RoleGrant::default();
+        for &i in &self.effective[bit] {
+            let c = &self.policies[i];
+            if c.action != Action::View || exclude == Some(i) || !designates(i) {
+                continue;
+            }
+            match (c.decision, &c.allowed) {
+                (Decision::Deny, _) => return RoleGrant::default(),
+                (Decision::Permit, None) => {
+                    g.visible = true;
+                    g.all = true;
+                }
+                (Decision::Permit, Some(_)) => {
+                    g.visible = true;
+                    g.conds.push(i);
+                }
+            }
+        }
+        if g.all {
+            g.conds.clear();
+        }
+        g
+    }
+
+    /// The subject class of an instance subject designated by `matched`.
+    fn class_for_matches(&mut self, matched: &[usize]) -> LabelId {
+        let grants: Vec<RoleGrant> = (0..self.width())
+            .map(|b| self.role_grant(b, |i| matched.binary_search(&i).is_ok(), None))
+            .collect();
+        if grants.iter().all(|g| !g.visible) {
+            return HIDDEN;
+        }
+        self.intern_class(ClassKey::Granted(grants))
+    }
+
+    fn intern_class(&mut self, key: ClassKey) -> LabelId {
+        if let Some(&id) = self.class_ids.get(&key) {
+            return id;
+        }
+        let width = self.width();
+        let row = self
+            .pred_keys
+            .iter()
+            .map(|pk| grid_cell(&key, pk, width))
+            .collect();
+        let id = self.table.add_class(row);
+        self.class_keys.push(key.clone());
+        self.class_ids.insert(key, id);
+        id
+    }
+
+    /// Give predicate `p` its class (once): which conditioned policies
+    /// allow it, through its IRI or a superproperty (walked through every
+    /// parent, blank or named — mirroring the evaluator's
+    /// `is_subproperty_of`). A class not seen before extends every row.
+    fn classify_predicate(&mut self, data: &Graph, p: TermId) {
+        if !self.classified.insert(p) {
+            return;
+        }
+        let term = data.term_of(p);
+        let key = match term.as_iri() {
+            None => PredKey {
+                iri: false,
+                is_type: false,
+                allowed_by: Vec::new(),
+            },
+            Some(q) => {
+                let sub_prop_of = Term::iri(rdfs::SUB_PROPERTY_OF);
+                let mut supers: HashSet<String> = HashSet::new();
+                let mut seen: HashSet<Term> = HashSet::new();
+                let mut stack = vec![term.clone()];
+                while let Some(cur) = stack.pop() {
+                    for parent in data.objects(&cur, &sub_prop_of) {
+                        if let Some(i) = parent.as_iri() {
+                            supers.insert(i.to_string());
+                        }
+                        if seen.insert(parent.clone()) {
+                            stack.push(parent);
+                        }
+                    }
+                }
+                let mut allowed_by = Vec::new();
+                for (i, conds) in self.conditions.iter().enumerate() {
+                    if conds.is_empty() {
+                        continue;
+                    }
+                    let ok = conds.iter().all(|c| match c {
+                        Condition::PropertyAccess(props) => {
+                            props.iter().any(|a| a.as_str() == q || supers.contains(a))
+                        }
+                    });
+                    if !ok {
+                        continue;
+                    }
+                    let c = &mut self.policies[i];
+                    if let Some(allowed) = &mut c.allowed {
+                        allowed.insert(p);
+                    }
+                    if c.action == Action::View && c.decision == Decision::Permit {
+                        allowed_by.push(i);
+                    }
+                }
+                PredKey {
+                    iri: true,
+                    is_type: Some(p) == self.type_id,
+                    allowed_by,
+                }
+            }
+        };
+        let class = if let Some(&k) = self.pred_ids.get(&key) {
+            k
+        } else {
+            let width = self.width();
+            let keys = &self.class_keys;
+            let k = self
+                .table
+                .add_pred_class(|class| grid_cell(&keys[class as usize], &key, width));
+            self.pred_keys.push(key.clone());
+            self.pred_ids.insert(key, k);
+            k
+        };
+        self.table.set_pred(p, class);
+    }
+
+    /// Patch the table for an additive change: `delta` holds every triple
+    /// `data` gained since the table was last brought up to date (asserted
+    /// and inferred). Only what the delta touches is relabeled:
+    ///
+    /// * predicates first seen in the delta get their class;
+    /// * every non-blank subject of the delta is re-granted (a new type
+    ///   can move it into or out of a designated class);
+    /// * blank nodes below a re-granted subject or hanging off a delta
+    ///   triple take their reach again from their owners.
+    ///
+    /// Returns `false`, leaving the table untouched, when the delta holds
+    /// an RDFS/OWL-vocabulary or `sec:subRoleOf` triple: those change
+    /// designator cones, superproperty closures or effective policy sets,
+    /// so the caller must recompile.
+    pub fn relabel(&mut self, data: &Graph, delta: &[(TermId, TermId, TermId)]) -> bool {
+        let span = grdf_obs::span("labels.relabel").tag("delta", delta.len());
+        let sub_role = sub_role_of();
+        let structural = delta.iter().any(|&(_, p, _)| {
+            data.term_of(p)
+                .as_iri()
+                .is_some_and(|i| i.starts_with(rdfs::NS) || i.starts_with(owl::NS) || i == sub_role)
+        });
+        if structural {
+            drop(span.tag("recompile", true));
+            return false;
+        }
+        if self.type_id.is_none() {
+            self.type_id = data.term_id(&Term::iri(rdf::TYPE));
+        }
+        for &(_, p, _) in delta {
+            self.classify_predicate(data, p);
+        }
+        let maps = self.match_maps(data);
+        let is_blank = |id: TermId| data.term_of(id).is_blank();
+        let mut dirty: Vec<TermId> = delta
+            .iter()
+            .filter(|t| is_blank(t.2))
+            .map(|t| t.2)
+            .collect();
+        let mut subjects: Vec<TermId> = delta.iter().map(|t| t.0).collect();
+        subjects.sort_unstable();
+        subjects.dedup();
+        let mut regranted = 0;
+        for s in subjects {
+            let mut types = Vec::new();
+            if let Some(ty) = self.type_id {
+                data.for_each_match_ids(Some(s), Some(ty), None, |_, _, o| types.push(o));
+            }
+            let before = self.table.subject_class(s);
+            if self.grant_subject(data, &maps, s, &types) != before {
+                regranted += 1;
+                data.for_each_match_ids(Some(s), None, None, |_, _, o| {
+                    if is_blank(o) {
+                        dirty.push(o);
+                    }
+                });
+            }
+        }
+        let reached = self.rereach(data, dirty);
+        drop(span.tag("regranted", regranted).tag("rereached", reached));
+        true
+    }
+
+    /// Recompute the reach of `seeds` and every blank node below them.
+    /// No edge leaves that closed set, so every node outside keeps its
+    /// reach; inside, the least fixpoint is seeded from the owners outside
+    /// under the current labels. Returns the size of the set.
+    fn rereach(&mut self, data: &Graph, seeds: Vec<TermId>) -> usize {
+        let is_blank = |id: TermId| data.term_of(id).is_blank();
+        let mut set: HashSet<TermId> = HashSet::new();
+        let mut stack = seeds;
+        while let Some(n) = stack.pop() {
+            if set.insert(n) {
+                data.for_each_match_ids(Some(n), None, None, |_, _, o| {
+                    if is_blank(o) && !set.contains(&o) {
+                        stack.push(o);
+                    }
+                });
+            }
+        }
+        let mut reach: HashMap<TermId, VisBitset> = HashMap::new();
+        for &n in &set {
+            let mut bits = VisBitset::new(self.width());
+            data.for_each_match_ids(None, None, Some(n), |s, p, _| {
+                if !set.contains(&s) {
+                    bits.union_with(self.table.bits(s, p));
+                }
+            });
+            reach.insert(n, bits);
+        }
+        let mut work: Vec<TermId> = set
+            .iter()
+            .copied()
+            .filter(|n| !reach[n].is_empty())
+            .collect();
+        while let Some(n) = work.pop() {
+            let bits = reach[&n].clone();
+            data.for_each_match_ids(Some(n), None, None, |_, _, o| {
+                if let Some(r) = reach.get_mut(&o) {
+                    if r.union_with(&bits) {
+                        work.push(o);
+                    }
+                }
+            });
+        }
+        for (n, bits) in reach {
+            let class = self.intern_class(ClassKey::Reached(bits));
+            self.table.set_subject(n, class);
+        }
+        set.len()
     }
 
     /// Number of role bits.
@@ -504,110 +865,12 @@ impl LabelIr {
         bits
     }
 
-    /// The grant decision for `(subject, role bit)` under the role's
-    /// effective policies, optionally with one policy excluded (the S007
-    /// counterfactual). Only `Action::View` policies participate — views
-    /// are read-side.
-    fn subject_grant(&self, sid: TermId, bit: usize, exclude: Option<usize>) -> SubjectGrant {
-        let mut g = SubjectGrant::default();
-        for &i in &self.effective[bit] {
-            if exclude == Some(i) {
-                continue;
-            }
-            let c = &self.policies[i];
-            if c.action != Action::View || !c.matches.contains(&sid) {
-                continue;
-            }
-            match c.decision {
-                Decision::Deny => g.denied = true,
-                Decision::Permit => {
-                    g.any_permit = true;
-                    match &c.allowed {
-                        None => g.all_preds = true,
-                        Some(preds) => g.preds.extend(preds.iter().copied()),
-                    }
-                }
-            }
-        }
-        g
-    }
-
-    /// Compile the per-triple bitset table: direct grants over instance
-    /// subjects, then blank-subtree reachability propagation (granted
-    /// object properties pull their helper subtrees per role, exactly as
-    /// [`secure_view`] does).
-    fn compile_labels(&self, data: &Graph, only_role: Option<usize>) -> TripleLabels {
-        let width = self.width();
-        let mut triple_bits: BTreeMap<(TermId, TermId, TermId), VisBitset> = BTreeMap::new();
-        let bits_range: Vec<usize> = match only_role {
-            Some(b) => vec![b],
-            None => (0..width).collect(),
-        };
-
-        for &sid in &self.instance_subjects {
-            let grants: Vec<(usize, SubjectGrant)> = bits_range
-                .iter()
-                .map(|&b| (b, self.subject_grant(sid, b, None)))
-                .filter(|(_, g)| g.any_permit && !g.denied)
-                .collect();
-            if grants.is_empty() {
-                continue;
-            }
-            data.for_each_match_ids(Some(sid), None, None, |s, p, o| {
-                if data.term_of(p).as_iri().is_none() {
-                    return;
-                }
-                let mut bits = VisBitset::new(width);
-                let mut any = false;
-                for (b, g) in &grants {
-                    if g.grants(p, self.type_id) {
-                        bits.set(*b);
-                        any = true;
-                    }
-                }
-                if any {
-                    triple_bits.insert((s, p, o), bits);
-                }
-            });
-        }
-
-        // Blank-subtree propagation fixpoint: a blank object of a visible
-        // triple exposes its whole subtree to the same roles.
-        let mut node_bits: HashMap<TermId, VisBitset> = HashMap::new();
-        let mut worklist: Vec<(TermId, VisBitset)> = Vec::new();
-        for ((_, _, o), bits) in &triple_bits {
-            if data.term_of(*o).is_blank() {
-                worklist.push((*o, bits.clone()));
-            }
-        }
-        while let Some((node, bits)) = worklist.pop() {
-            let entry = node_bits
-                .entry(node)
-                .or_insert_with(|| VisBitset::new(width));
-            if !entry.union_with(&bits) {
-                continue; // no new bits: subtree already propagated
-            }
-            let current = entry.clone();
-            data.for_each_match_ids(Some(node), None, None, |_, _, o| {
-                if data.term_of(o).is_blank() {
-                    worklist.push((o, current.clone()));
-                }
-            });
-        }
-        for (node, bits) in &node_bits {
-            data.for_each_match_ids(Some(*node), None, None, |s, p, o| {
-                triple_bits
-                    .entry((s, p, o))
-                    .or_insert_with(|| VisBitset::new(width))
-                    .union_with(bits);
-            });
-        }
-
-        let mut labels = TripleLabels::new(width, data.generation());
-        for ((s, p, o), bits) in &triple_bits {
-            labels.insert(*s, *p, *o, bits);
-        }
-        labels
+    /// The roles with any effective deny (own or inherited). Without
+    /// inference such a deny cannot be evaluated safely — it may rely on
+    /// an entailed type — so degraded serving masks these roles out.
+    #[must_use]
+    pub fn deny_bearing(&self) -> &VisBitset {
+        &self.deny_bearing
     }
 
     /// Scan-time filter: the subgraph of `data` visible under `auths`.
@@ -615,32 +878,21 @@ impl LabelIr {
     /// set by [`LabelIr::verify_label_equivalence`].
     #[must_use]
     pub fn filtered_view(&self, data: &Graph, auths: &VisBitset) -> Graph {
-        // Columnar fast path: when `data` is still the graph the labels
-        // were compiled against, the parallel column yields the visible
-        // id-triples with one class intersection per label class and one
-        // column load per scanned triple.
-        if self.column.matches(data) {
-            let mut view = Graph::new();
-            let visible = self.column.visible_ids(data, auths);
-            view.extend_triples(visible.into_iter().map(|(s, p, o)| {
-                Triple::new(
-                    data.term_of(s).clone(),
-                    data.term_of(p).clone(),
-                    data.term_of(o).clone(),
-                )
-            }));
-            return view;
-        }
-        let mut view = Graph::new();
-        for (&(s, p, o), id) in self.labels.iter() {
-            if self.labels.class(id).is_some_and(|b| b.intersects(auths)) {
-                view.add(
-                    data.term_of(s).clone(),
-                    data.term_of(p).clone(),
-                    data.term_of(o).clone(),
-                );
+        let mask = self.table.mask(auths);
+        let mut visible = Vec::new();
+        data.for_each_match_ids(None, None, None, |s, p, o| {
+            if mask.visible(s, p) {
+                visible.push((s, p, o));
             }
-        }
+        });
+        let mut view = Graph::new();
+        view.extend_triples(visible.into_iter().map(|(s, p, o)| {
+            Triple::new(
+                data.term_of(s).clone(),
+                data.term_of(p).clone(),
+                data.term_of(o).clone(),
+            )
+        }));
         view
     }
 
@@ -756,7 +1008,7 @@ impl LabelIr {
         let mut out = self.unreachable_policies(data, policies);
         out.extend(self.contradictory_overlaps(data, policies));
         out.extend(self.entailment_leaks(data));
-        out.extend(self.non_monotonic_authorizations());
+        out.extend(self.non_monotonic_authorizations(data));
         out
     }
 
@@ -806,9 +1058,12 @@ impl LabelIr {
             // the S009 leak pass needs such denies to state intent).
             if c.decision == Decision::Deny {
                 let any_permit = affected.iter().any(|&b| {
-                    matched
-                        .iter()
-                        .any(|&sid| self.subject_grant(sid, b, None).any_permit)
+                    self.effective[b].iter().any(|&i| {
+                        let p = &self.policies[i];
+                        p.action == Action::View
+                            && p.decision == Decision::Permit
+                            && matched.iter().any(|sid| p.matches.contains(sid))
+                    })
                 });
                 if !any_permit {
                     continue;
@@ -817,16 +1072,13 @@ impl LabelIr {
             let mut changes_something = false;
             'roles: for &b in &affected {
                 for &sid in &matched {
-                    let with = self.subject_grant(sid, b, None);
-                    let without = self.subject_grant(sid, b, Some(c.index));
+                    let designates = |i: usize| self.policies[i].matches.contains(&sid);
+                    let with = self.role_grant(b, designates, None);
+                    let without = self.role_grant(b, designates, Some(c.index));
                     let mut differs = false;
                     data.for_each_match_ids(Some(sid), None, None, |_, p, _| {
-                        if differs || data.term_of(p).as_iri().is_none() {
-                            return;
-                        }
-                        if with.grants(p, self.type_id) != without.grants(p, self.type_id) {
-                            differs = true;
-                        }
+                        let pred = &self.pred_keys[self.table.pred_class(p) as usize];
+                        differs |= with.shows(pred) != without.shows(pred);
                     });
                     if differs {
                         changes_something = true;
@@ -920,7 +1172,8 @@ impl LabelIr {
             if !has_deny {
                 continue;
             }
-            let mut adversary = self.filtered_view(data, &self.authorizations(role));
+            let auths = self.authorizations(role);
+            let mut adversary = self.filtered_view(data, &auths);
             let baseline: HashSet<Triple> = adversary.iter().chain(schema.iter()).collect();
             adversary.extend_from(&schema);
             Reasoner::default().materialize(&mut adversary);
@@ -936,7 +1189,7 @@ impl LabelIr {
                     data.term_id(&t.predicate),
                     data.term_id(&t.object),
                 ) {
-                    if self.labels.visible(s, p, o, &self.authorizations(role)) {
+                    if data.has_ids(s, p, o) && self.table.visible(s, p, &auths) {
                         continue;
                     }
                 }
@@ -971,20 +1224,19 @@ impl LabelIr {
 
     /// S010: `sec:subRoleOf` edges where the sub-role's effective view
     /// loses triples the super-role can see.
-    fn non_monotonic_authorizations(&self) -> Vec<Diagnostic> {
+    fn non_monotonic_authorizations(&self, data: &Graph) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (sub, sup) in self.hierarchy.edges() {
             let (Some(sub_bit), Some(sup_bit)) = (self.role_bit(&sub), self.role_bit(&sup)) else {
                 continue;
             };
             let mut lost = 0usize;
-            for (_, id) in self.labels.iter() {
-                if let Some(bits) = self.labels.class(id) {
-                    if bits.get(sup_bit) && !bits.get(sub_bit) {
-                        lost += 1;
-                    }
+            data.for_each_match_ids(None, None, None, |s, p, _| {
+                let bits = self.table.bits(s, p);
+                if bits.get(sup_bit) && !bits.get(sub_bit) {
+                    lost += 1;
                 }
-            }
+            });
             if lost > 0 {
                 out.push(
                     Diagnostic::new(
@@ -1020,24 +1272,22 @@ impl LabelIr {
             (Some(s), Some(p), Some(o)) => data.has_ids(s, p, o),
             _ => false,
         };
-        let viewers: Vec<String> = match ids {
-            (Some(s), Some(p), Some(o)) => self
-                .labels
-                .bits_of(s, p, o)
-                .map(|bits| {
-                    bits.iter_ones()
-                        .into_iter()
-                        .filter_map(|b| self.roles.get(b).cloned())
-                        .collect()
-                })
-                .unwrap_or_default(),
-            _ => Vec::new(),
+        // Only a triple of the graph carries its subject's label.
+        let bits = match ids {
+            (Some(s), Some(p), Some(_)) if in_graph => Some(self.table.bits(s, p)),
+            _ => None,
         };
+        let viewers: Vec<String> = bits
+            .map(|bits| {
+                bits.iter_ones()
+                    .into_iter()
+                    .filter_map(|b| self.roles.get(b).cloned())
+                    .collect()
+            })
+            .unwrap_or_default();
         let bit = self.role_bit(role);
-        let visible = match (bit, ids) {
-            (Some(b), (Some(s), Some(p), Some(o))) => {
-                self.labels.bits_of(s, p, o).is_some_and(|x| x.get(b))
-            }
+        let visible = match (bit, bits) {
+            (Some(b), Some(bits)) => bits.get(b),
             _ => false,
         };
 

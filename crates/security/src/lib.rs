@@ -24,25 +24,27 @@
 //! * [`policy`] — policies (native structs ⇄ List 8 RDF encoding) and the
 //!   semantics-aware evaluator.
 //! * [`views`] — middleware "layered views": filtering a merged graph down
-//!   to what a role may see.
+//!   to what a role may see (the reference semantics the labels are
+//!   proven against).
 //! * [`geoxacml`] — the object-level baseline comparator.
 //! * [`labels`] — the policy label compiler: List 8 policy sets + the
-//!   `sec:subRoleOf` hierarchy compiled to per-triple visibility bitsets,
-//!   with whole-set static analyses (S007–S010, including the OWL-Horst
-//!   entailment-leak pass) and a differential verifier proving the
-//!   label-filtered scan equals the materialized secure views.
-//! * [`gsacs`] — the Fig. 3 runtime: front-end, decision engine, LRU query
-//!   cache, pluggable [`gsacs::ReasoningEngine`], ontology repository.
+//!   `sec:subRoleOf` hierarchy compiled to per-subject visibility labels
+//!   (patched from the delta of additive updates), with whole-set static
+//!   analyses (S007–S010, including the OWL-Horst entailment-leak pass)
+//!   and a differential verifier proving the label-filtered scan equals
+//!   the materialized secure views.
+//! * [`gsacs`] — the Fig. 3 runtime: front-end, decision engine (labels
+//!   enforced inside the query scan), LRU query cache, pluggable
+//!   [`gsacs::ReasoningEngine`], ontology repository.
 //! * [`resilience`] — the fail-closed service layer: unified error
-//!   taxonomy, per-request deadlines, circuit-breaking reasoner with
-//!   degraded conservative views, admission control, health reporting, and
+//!   taxonomy, per-request deadlines, circuit-breaking reasoner with a
+//!   degraded label mask, admission control, health reporting, and
 //!   a deterministic fault-injection harness.
 //!
 //! The whole stack is instrumented through `grdf_obs`: G-SACS runs each
-//! request inside an observability scope, secure-view builds produce
-//! [`policy::DecisionTrace`]s explaining which policies matched and why,
-//! and audit entries carry the request's `TraceId` so the log joins
-//! against exported spans.
+//! request inside an observability scope, [`policy::DecisionTrace`]s
+//! explain which policies matched a role and why, and audit entries carry
+//! the request's `TraceId` so the log joins against exported spans.
 
 pub mod conflicts;
 pub mod geoxacml;
@@ -68,6 +70,4 @@ pub use resilience::{
     FaultPlan, FaultyEngine, GsacsError, HealthReport, LatencyHistogram, LintGate, NoFaults,
     ResilienceConfig, ResilientEngine, RetryPolicy, Stage,
 };
-pub use views::{
-    conservative_view, conservative_view_explained, secure_view, secure_view_explained, ViewStats,
-};
+pub use views::{secure_view, secure_view_explained, ViewStats};

@@ -457,7 +457,7 @@ pub struct PolicyMatch {
 /// per request by the service.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DecisionTrace {
-    /// The id of the request whose view build produced this decision.
+    /// The id of the request this decision explains.
     pub trace_id: TraceId,
     /// The requesting role.
     pub role: String,
@@ -473,7 +473,8 @@ pub struct DecisionTrace {
     pub granted: usize,
     /// Triples suppressed by policy (or deny-by-default).
     pub suppressed: usize,
-    /// Whether the decision was taken in degraded (conservative) mode.
+    /// Whether the decision was taken in degraded mode (un-inferred data,
+    /// deny-bearing roles masked).
     pub degraded: bool,
 }
 
@@ -510,7 +511,7 @@ impl DecisionTrace {
             self.granted,
             self.suppressed,
             if self.degraded {
-                " [degraded: conservative view]"
+                " [degraded: deny-bearing roles masked]"
             } else {
                 ""
             }

@@ -9,8 +9,8 @@
 //! * [`ResilientEngine`] — retry-with-backoff and a circuit breaker
 //!   around the pluggable [`ReasoningEngine`](crate::gsacs::ReasoningEngine).
 //!   After [`BreakerConfig::failure_threshold`] consecutive failures the
-//!   breaker opens and the service degrades to un-inferred data with
-//!   conservative secure views; after [`BreakerConfig::cooldown`] a
+//!   breaker opens and the service degrades to un-inferred data with every
+//!   deny-bearing role masked out; after [`BreakerConfig::cooldown`] a
 //!   half-open trial may close it again.
 //! * [`AdmissionGate`] — a bounded in-flight gate that sheds load with
 //!   [`GsacsError::Overloaded`] instead of queueing without bound.
@@ -48,7 +48,7 @@ use crate::gsacs::ReasoningEngine;
 pub enum Stage {
     /// Admission control, before any work.
     Admission,
-    /// Secure-view construction.
+    /// Authorization: resolving the request's role against the labels.
     View,
     /// Query parse + evaluation.
     Query,
@@ -583,8 +583,8 @@ pub struct HealthReport {
     pub breaker: BreakerState,
     /// Times the breaker has tripped.
     pub breaker_trips: u64,
-    /// Whether the service is serving un-inferred data with conservative
-    /// views.
+    /// Whether the service is serving un-inferred data with deny-bearing
+    /// roles masked out.
     pub degraded: bool,
     /// Requests handled (admitted or shed).
     pub requests: u64,
@@ -598,7 +598,8 @@ pub struct HealthReport {
     pub cache_misses: u64,
     /// Query-cache hit rate in `[0, 1]`.
     pub cache_hit_rate: f64,
-    /// Secure views currently cached.
+    /// Diagnostic role views (`GSacs::view_for`) memoized for the current
+    /// epoch.
     pub view_cache_entries: usize,
     /// Audit entries currently retained.
     pub audit_entries: usize,
@@ -638,7 +639,7 @@ impl HealthReport {
             self.breaker,
             self.breaker_trips,
             if self.degraded {
-                "YES — serving un-inferred data, conservative views"
+                "YES — serving un-inferred data, deny-bearing roles masked"
             } else {
                 "no"
             },

@@ -5,6 +5,13 @@
 //! [`secure_view`] filters a (merged, possibly materialized) graph down to
 //! the triples a role may see under a [`PolicySet`], keeping the subtrees
 //! (geometry nodes, envelope nodes) of granted properties reachable.
+//!
+//! This is the reference semantics. G-SACS never materializes these views
+//! on its request path: it enforces the compiled labels of
+//! [`crate::labels`] inside the query scan, which the differential
+//! verifier (`LabelIr::verify_label_equivalence`), the label property
+//! suites and the end-to-end benchmark prove equal to `secure_view` over
+//! each role's effective policy set.
 
 use std::collections::HashSet;
 
@@ -165,64 +172,6 @@ fn secure_view_inner(
     grdf_obs::add("view.granted", stats.granted as u64);
     grdf_obs::add("view.suppressed", stats.suppressed as u64);
     (view, stats)
-}
-
-/// Most-restrictive view for degraded mode, where the reasoner is
-/// unavailable and `data` is un-inferred.
-///
-/// Deny policies may rely on entailments (a deny on a superclass must
-/// catch instances typed only with a subclass), so without inference they
-/// cannot be evaluated safely: a role subject to *any* Deny policy gets an
-/// empty view. Roles with only Permit policies fall through to
-/// [`secure_view`] over the un-inferred graph, which is already
-/// conservative — permits that need inference simply do not fire, and
-/// deny-by-default suppresses the rest.
-pub fn conservative_view(data: &Graph, policies: &PolicySet, role: &str) -> (Graph, ViewStats) {
-    let (view, stats, _) = conservative_view_explained(data, policies, role);
-    (view, stats)
-}
-
-/// [`conservative_view`] with its [`DecisionTrace`]; the trace is marked
-/// degraded and, for deny-bearing roles, names the deny policies that
-/// forced the empty view.
-pub fn conservative_view_explained(
-    data: &Graph,
-    policies: &PolicySet,
-    role: &str,
-) -> (Graph, ViewStats, DecisionTrace) {
-    let denies: Vec<String> = policies
-        .for_role(role)
-        .iter()
-        .filter(|p| p.decision == Decision::Deny)
-        .map(|p| p.id.clone())
-        .collect();
-    if !denies.is_empty() {
-        grdf_obs::incr("view.conservative_empty");
-        let stats = ViewStats {
-            granted: 0,
-            suppressed: data.len(),
-            unmatched_subjects: 0,
-        };
-        let trace = DecisionTrace {
-            role: role.to_string(),
-            consulted: policies
-                .for_role(role)
-                .iter()
-                .map(|p| p.id.clone())
-                .collect(),
-            denying: denies,
-            inference: vec![
-                "reasoner unavailable: deny policies may depend on missing entailments".to_string(),
-            ],
-            suppressed: stats.suppressed,
-            degraded: true,
-            ..DecisionTrace::default()
-        };
-        return (Graph::new(), stats, trace);
-    }
-    let (view, stats, mut trace) = secure_view_explained(data, policies, role);
-    trace.degraded = true;
-    (view, stats, trace)
 }
 
 /// Convenience: is the literal/IRI value of `(subject, property)` visible

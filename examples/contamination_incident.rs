@@ -121,13 +121,13 @@ fn main() {
                 query: locations_query.clone(),
             })
             .expect("query");
-        let stats = service.view_stats_for(&role_iri).expect("view built");
+        let visible = service.view_for(&role_iri).len();
         println!(
-            "{role:>9}: sees {} chemical links, {} site locations  (granted {} / suppressed {} triples)",
+            "{role:>9}: sees {} chemical links, {} site locations  (labels show {} / hide {} triples)",
             chems.select_rows().len(),
             locs.select_rows().len(),
-            stats.granted,
-            stats.suppressed,
+            visible,
+            service.dataset().len() - visible,
         );
     }
 

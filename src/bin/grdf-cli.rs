@@ -316,11 +316,12 @@ fn cmd_labels(args: &[String]) -> Result<(String, u8), String> {
             if divergences.is_empty() {
                 Ok((
                     format!(
-                        "label/view equivalence holds: {} role(s), {} labeled triple(s), \
-                         {} label class(es)",
+                        "label/view equivalence holds: {} role(s), {} labeled subject(s), \
+                         {} subject class(es) x {} predicate class(es)",
                         ir.width(),
-                        ir.labels.len(),
-                        ir.labels.class_count()
+                        ir.table.labeled_subjects(),
+                        ir.table.class_count(),
+                        ir.table.pred_class_count()
                     ),
                     0,
                 ))
@@ -340,18 +341,18 @@ fn cmd_labels(args: &[String]) -> Result<(String, u8), String> {
             }
             use std::fmt::Write as _;
             let mut out = String::new();
-            let _ = writeln!(out, "graph triples:   {}", graph.len());
-            let _ = writeln!(out, "policies:        {}", set.policies.len());
-            let _ = writeln!(out, "roles (bits):    {}", ir.width());
-            let _ = writeln!(out, "labeled triples: {}", ir.labels.len());
-            let _ = writeln!(out, "label classes:   {}", ir.labels.class_count());
+            let _ = writeln!(out, "graph triples:     {}", graph.len());
+            let _ = writeln!(out, "policies:          {}", set.policies.len());
+            let _ = writeln!(out, "roles (bits):      {}", ir.width());
+            let _ = writeln!(out, "labeled subjects:  {}", ir.table.labeled_subjects());
+            let _ = writeln!(out, "subject classes:   {}", ir.table.class_count());
+            let _ = writeln!(out, "predicate classes: {}", ir.table.pred_class_count());
             for role in &ir.roles {
-                let auth = ir.authorizations(role);
-                let visible = ir
-                    .labels
-                    .iter()
-                    .filter(|(_, id)| ir.labels.class(*id).is_some_and(|b| b.intersects(&auth)))
-                    .count();
+                let mask = ir.table.mask(&ir.authorizations(role));
+                let mut visible = 0usize;
+                graph.for_each_match_ids(None, None, None, |s, p, _| {
+                    visible += usize::from(mask.visible(s, p));
+                });
                 let _ = writeln!(out, "  {role}: {visible} visible triple(s)");
             }
             Ok((out, 0))
@@ -771,16 +772,19 @@ fn cmd_trace(path: &str, query: &str) -> Result<String, String> {
         ..ResilienceConfig::default()
     };
     // Build the service *inside* the CLI scope so construction-time spans
-    // (reasoner materialization) land in the same trace as the request.
-    let (outcome, decision) = {
+    // (reasoner materialization, label compile) land in the same trace as
+    // the request. The decision trace is recomputed outside it: it is an
+    // explanation, not part of serving the request.
+    let (svc, outcome) = {
         let _scope = obs.scope("cli.trace");
         let svc = probe_service(&store, config);
         let outcome = svc.handle(&ClientRequest {
             role: PROBE_ROLE.to_string(),
             query: text,
         });
-        (outcome, svc.decision_trace_for(PROBE_ROLE))
+        (svc, outcome)
     };
+    let decision = svc.decision_trace_for(PROBE_ROLE);
     let records = obs.sink().records();
     let trace = records.last().ok_or("no trace captured")?;
     let mut out = format!("trace {}\n", trace.id);
@@ -793,7 +797,7 @@ fn cmd_trace(path: &str, query: &str) -> Result<String, String> {
     }
     match decision {
         Some(d) => out.push_str(&format!("\n{}", d.render())),
-        None => out.push_str("\n(no decision trace: view never built)"),
+        None => out.push_str("\n(no decision trace: no traced request)"),
     }
     Ok(out)
 }

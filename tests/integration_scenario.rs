@@ -382,7 +382,7 @@ fn every_instrumented_stage_emits_spans() {
         "gsacs.request",
         "gsacs.admission",
         "gsacs.cache",
-        "view.build",
+        "labels.compile",
         "gsacs.decision",
         "query.parse",
         "query.plan",

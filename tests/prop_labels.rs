@@ -1,9 +1,12 @@
 //! Differential verification of the label compiler: for every role, the
-//! bitset-filtered scan must equal the materialized secure view of
+//! label-filtered scan must equal the materialized secure view of
 //! `grdf::security::views::secure_view` — on every lint-corpus graph, on
 //! the §7.1 three-role incident scenario (where the GeoXACML
-//! object-level contrast must also reproduce), and on seeded random
-//! policy sets over random OWL schemas.
+//! object-level contrast must also reproduce), on seeded random policy
+//! sets over random OWL schemas, and through the served G-SACS after
+//! every step of seeded update sequences (delta relabeling), where the
+//! patched labels must also equal a fresh compile. Every suite resweeps
+//! under `GRDF_MASTER_SEED`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,12 +15,16 @@ use proptest::prelude::*;
 
 use grdf::feature::{encode_feature, Feature};
 use grdf::owl::reasoner::Reasoner;
-use grdf::rdf::term::Term;
+use grdf::query::execute;
+use grdf::rdf::term::{Term, Triple};
 use grdf::rdf::vocab::{grdf as ns, rdfs};
 use grdf::rdf::Graph;
+use grdf::security::gsacs::{
+    ClientRequest, GSacs, OntoRepository, OwlHorstEngine, UpdateOp, UpdateRequest,
+};
 use grdf::security::labels::{LabelIr, RoleHierarchy};
-use grdf::security::policy::{Policy, PolicySet};
-use grdf::security::views::view_property_count;
+use grdf::security::policy::{Action, Policy, PolicySet};
+use grdf::security::views::{secure_view, view_property_count};
 use grdf::workload::incident::{incident_store, roles, scenario_policies, xacml_policies};
 
 const TYPES: &[&str] = &["ChemSite", "Stream", "ChemInfo", "Depot"];
@@ -232,5 +239,330 @@ proptest! {
             return Ok(());
         }
         assert_equivalent(&data, &PolicySet::new(policies), "random case");
+    }
+}
+
+// --- delta relabeling through the served path ----------------------------
+
+/// One seeded update step against the served G-SACS (see
+/// [`delta_relabel_matches_reference_after_every_step`]).
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Type a site as a Refinery: into RoleA's (and, inherited, RoleB's)
+    /// denied class.
+    IntoDenied(usize),
+    /// Delete that type again: out of the denied class (full rebuild).
+    OutOfDenied(usize),
+    /// A predicate the data has never held, named by RoleA's
+    /// property-conditioned permit.
+    NewPredicate(usize),
+    /// A blank geometry subtree under a visible property, in three
+    /// requests: hang a blank node off a site, fill it with its WKT and a
+    /// deeper blank corner node, fill the corner. Each request can only
+    /// edit the nodes the previous one typed (by range inference).
+    Geometry(usize, usize),
+    /// A schema triple: a new subclass or subproperty edge.
+    Schema(usize),
+    /// A value under the subproperty a schema step may declare.
+    Alias(usize),
+    /// Delete a site's name.
+    DeleteName(usize),
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        (0..7usize, 0..4usize, 0..3usize).prop_map(|(kind, site, node)| match kind {
+            0 => Step::IntoDenied(site),
+            1 => Step::OutOfDenied(site),
+            2 => Step::NewPredicate(site),
+            3 => Step::Geometry(site, node),
+            4 => Step::Schema(node % 2),
+            5 => Step::Alias(site),
+            _ => Step::DeleteName(site),
+        }),
+        4..12,
+    )
+}
+
+const EDITOR: &str = "urn:role#Editor";
+
+fn site(i: usize) -> Term {
+    Term::iri(&ns::app(&format!("site{i}")))
+}
+
+fn geometry_node(k: usize) -> Term {
+    Term::blank(&format!("geo{k}"))
+}
+
+fn corner_node(k: usize) -> Term {
+    Term::blank(&format!("corner{k}"))
+}
+
+/// Sites, a stream and a depot; Refinery ⊑ ChemSite; geometry links are
+/// range-typed so the editor may fill the blank nodes they create; RoleB
+/// is a sub-role of RoleA.
+fn served_world() -> (Graph, PolicySet) {
+    use grdf::rdf::vocab::rdf;
+    let mut g = Graph::new();
+    let iri = |s: &str| Term::iri(s);
+    g.add(
+        iri(&ns::app("Refinery")),
+        iri(rdfs::SUB_CLASS_OF),
+        iri(&ns::app("ChemSite")),
+    );
+    for p in [ns::iri("hasGeometry"), ns::app("hasCorner")] {
+        g.add(iri(&p), iri(rdfs::RANGE), iri(&ns::iri("Geometry")));
+    }
+    for i in 0..4 {
+        let mut f = Feature::new(&ns::app(&format!("site{i}")), "ChemSite");
+        f.set_property("hasSiteName", format!("Site {i}").as_str());
+        f.set_property("hasChemCode", format!("C{i}").as_str());
+        encode_feature(&mut g, &f);
+    }
+    let mut stream = Feature::new(&ns::app("stream0"), "Stream");
+    stream.set_property("hasObjectID", 7i64);
+    encode_feature(&mut g, &stream);
+    let mut depot = Feature::new(&ns::app("depot0"), "Depot");
+    depot.set_property("hasSiteName", "Depot");
+    encode_feature(&mut g, &depot);
+    g.add(site(0), iri(rdf::TYPE), iri(&ns::app("Refinery")));
+    let mut rh = RoleHierarchy::new();
+    rh.add(&ns::sec("RoleB"), &ns::sec("RoleA"));
+    rh.encode(&mut g);
+
+    let edit = |id: &str, resource: &str, action| Policy {
+        action,
+        ..Policy::permit(id, EDITOR, resource)
+    };
+    let mut policies = vec![
+        Policy::permit_properties(
+            "urn:p:a-sites",
+            &ns::sec("RoleA"),
+            &ns::app("ChemSite"),
+            &[
+                &ns::app("hasSiteName"),
+                &ns::iri("hasGeometry"),
+                &ns::app("hasInspectionNote"),
+            ],
+        ),
+        Policy::permit("urn:p:a-streams", &ns::sec("RoleA"), &ns::app("Stream")),
+        Policy::deny(
+            "urn:p:a-refineries",
+            &ns::sec("RoleA"),
+            &ns::app("Refinery"),
+        ),
+        Policy::permit("urn:p:b-depots", &ns::sec("RoleB"), &ns::app("Depot")),
+        Policy::permit_properties(
+            "urn:p:b-codes",
+            &ns::sec("RoleB"),
+            &ns::app("ChemSite"),
+            &[&ns::app("hasChemCode")],
+        ),
+        Policy::permit("urn:p:c-sites", &ns::sec("RoleC"), &ns::app("ChemSite")),
+        Policy::permit("urn:p:c-depots", &ns::sec("RoleC"), &ns::app("Depot")),
+        // Schema steps edit the class and property they name.
+        edit("urn:p:e-depot-class", &ns::app("Depot"), Action::Edit),
+        edit("urn:p:e-alias", &ns::app("hasAlias"), Action::Edit),
+    ];
+    for (i, class) in [ns::app("ChemSite"), ns::app("Depot"), ns::iri("Geometry")]
+        .iter()
+        .enumerate()
+    {
+        policies.push(edit(&format!("urn:p:e-edit-{i}"), class, Action::Edit));
+        policies.push(edit(&format!("urn:p:e-del-{i}"), class, Action::Delete));
+    }
+    (g, PolicySet::new(policies))
+}
+
+/// The update requests of one step, each a batch of ops.
+fn step_requests(step: Step) -> Vec<Vec<UpdateOp>> {
+    use grdf::rdf::vocab::rdf;
+    let t = |s: Term, p: &str, o: Term| Triple::new(s, Term::iri(p), o);
+    if let Step::Geometry(i, k) = step {
+        return vec![
+            vec![UpdateOp::Insert(t(
+                site(i),
+                &ns::iri("hasGeometry"),
+                geometry_node(k),
+            ))],
+            vec![
+                UpdateOp::Insert(t(
+                    geometry_node(k),
+                    &ns::iri("asWKT"),
+                    Term::string(&format!("POINT ({k} {k})")),
+                )),
+                UpdateOp::Insert(t(geometry_node(k), &ns::app("hasCorner"), corner_node(k))),
+            ],
+            vec![UpdateOp::Insert(t(
+                corner_node(k),
+                &ns::iri("asWKT"),
+                Term::string(&format!("POINT ({k} 0)")),
+            ))],
+        ];
+    }
+    let ops = match step {
+        Step::IntoDenied(i) => vec![UpdateOp::Insert(t(
+            site(i),
+            rdf::TYPE,
+            Term::iri(&ns::app("Refinery")),
+        ))],
+        Step::OutOfDenied(i) => vec![UpdateOp::Delete(t(
+            site(i),
+            rdf::TYPE,
+            Term::iri(&ns::app("Refinery")),
+        ))],
+        Step::NewPredicate(i) => vec![UpdateOp::Insert(t(
+            site(i),
+            &ns::app("hasInspectionNote"),
+            Term::string(&format!("note {i}")),
+        ))],
+        Step::Schema(0) => vec![UpdateOp::Insert(t(
+            Term::iri(&ns::app("Depot")),
+            rdfs::SUB_CLASS_OF,
+            Term::iri(&ns::app("ChemSite")),
+        ))],
+        Step::Schema(_) => vec![UpdateOp::Insert(t(
+            Term::iri(&ns::app("hasAlias")),
+            rdfs::SUB_PROPERTY_OF,
+            Term::iri(&ns::app("hasSiteName")),
+        ))],
+        Step::Alias(i) => vec![UpdateOp::Insert(t(
+            site(i),
+            &ns::app("hasAlias"),
+            Term::string(&format!("alias {i}")),
+        ))],
+        Step::DeleteName(i) => vec![UpdateOp::Delete(t(
+            site(i),
+            &ns::app("hasSiteName"),
+            Term::string(&format!("Site {i}")),
+        ))],
+        Step::Geometry(..) => unreachable!("expanded above"),
+    };
+    vec![ops]
+}
+
+/// Every visible triple, a geometry window, an EXISTS filter, a property
+/// path and a join: the operators that read triples.
+fn probe_queries() -> Vec<String> {
+    let app = ns::APP_NS;
+    let grdf_ns = ns::NS;
+    vec![
+        "SELECT ?s ?p ?o WHERE { ?s ?p ?o }".to_string(),
+        format!(
+            "PREFIX app: <{app}>\nSELECT ?f WHERE {{ ?f a app:ChemSite . \
+             FILTER(grdf:intersectsBox(?f, -1.0, -1.0, 9.0, 9.0)) }}"
+        ),
+        format!(
+            "PREFIX app: <{app}>\nSELECT ?s WHERE {{ ?s a app:ChemSite . \
+             FILTER(EXISTS {{ ?s app:hasSiteName ?n }}) }}"
+        ),
+        format!(
+            "PREFIX g: <{grdf_ns}>\nPREFIX app: <{app}>\nSELECT ?s ?w WHERE {{ \
+             ?s g:hasGeometry/app:hasCorner/g:asWKT ?w }}"
+        ),
+        format!(
+            "PREFIX g: <{grdf_ns}>\nSELECT ?s ?w WHERE {{ ?g g:asWKT ?w . ?s g:hasGeometry ?g }}"
+        ),
+    ]
+}
+
+fn canonical(result: &grdf::query::QueryResult) -> Vec<String> {
+    let mut rows: Vec<String> = result
+        .select_rows()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Differences between two IRs over the same `data` (a patched table
+/// against a fresh compile): every triple's role bitset, the instance
+/// subjects, and each policy's match and predicate sets must agree.
+fn label_differences(patched: &LabelIr, fresh: &LabelIr, data: &Graph) -> Vec<String> {
+    let mut out = Vec::new();
+    if patched.roles != fresh.roles {
+        return vec![format!("roles {:?} vs {:?}", patched.roles, fresh.roles)];
+    }
+    data.for_each_match_ids(None, None, None, |s, p, o| {
+        let (a, b) = (patched.table.bits(s, p), fresh.table.bits(s, p));
+        if a.iter_ones() != b.iter_ones() {
+            out.push(format!(
+                "{} {} {}: roles {:?} vs {:?}",
+                data.term_of(s),
+                data.term_of(p),
+                data.term_of(o),
+                a.iter_ones(),
+                b.iter_ones()
+            ));
+        }
+    });
+    if patched.instance_subjects != fresh.instance_subjects {
+        out.push("instance subjects differ".to_string());
+    }
+    for (a, b) in patched.policies.iter().zip(&fresh.policies) {
+        if a.matches != b.matches || a.allowed != b.allowed {
+            out.push(format!("policy {} match or predicate set differs", a.id));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Seeded update sequences through the served G-SACS: after every
+    /// step, each role's answers equal `execute` over `secure_view` on its
+    /// effective policy set, and the served labels — patched from each
+    /// insert's delta, recompiled after schema inserts and deletes — equal
+    /// a fresh compile of the served state.
+    #[test]
+    fn delta_relabel_matches_reference_after_every_step(steps in arb_steps()) {
+        let (data, policies) = served_world();
+        let mut svc = GSacs::new(
+            OntoRepository::new(),
+            policies.clone(),
+            Box::<OwlHorstEngine>::default(),
+            data,
+            8,
+        );
+        let roles = [
+            ns::sec("RoleA"),
+            ns::sec("RoleB"),
+            ns::sec("RoleC"),
+            "urn:role#Nobody".to_string(),
+        ];
+        let queries = probe_queries();
+        let requests = steps
+            .iter()
+            .flat_map(|&step| step_requests(step).into_iter().map(move |ops| (step, ops)));
+        for (n, (step, ops)) in requests.enumerate() {
+            let outcome = svc.handle_update(&UpdateRequest {
+                role: EDITOR.to_string(),
+                ops,
+            });
+            let context = format!("request {n} of {step:?} -> {outcome:?}");
+            let fresh = LabelIr::compile(svc.dataset(), &policies);
+            let diffs = label_differences(svc.labels(), &fresh, svc.dataset());
+            prop_assert!(diffs.is_empty(), "{context}: patched labels differ: {diffs:?}");
+            for role in &roles {
+                let effective = fresh.effective_policy_set(&policies, role);
+                let (view, _) = secure_view(svc.dataset(), &effective, role);
+                for q in &queries {
+                    let got = svc
+                        .handle(&ClientRequest { role: role.clone(), query: q.clone() })
+                        .expect("served query");
+                    let want = execute(&view, q).expect("reference query");
+                    prop_assert_eq!(
+                        canonical(&got),
+                        canonical(&want),
+                        "{}: {} answers {}",
+                        context,
+                        role,
+                        q
+                    );
+                }
+            }
+        }
     }
 }
