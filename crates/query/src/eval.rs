@@ -1,19 +1,21 @@
 //! Query evaluation: BGP joins, filters, optional/union, solution
 //! modifiers, and the three result forms.
 
-use std::cell::Cell;
+use std::borrow::Cow;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use grdf_rdf::graph::{Graph, TermId};
 use grdf_rdf::labels::ScanMask;
 use grdf_rdf::term::{Term, Triple};
 use grdf_runtime::{Deadline, DeadlineExceeded};
 
-use crate::ast::{Expr, Order, Pattern, Query, QueryKind, TermOrVar, TriplePattern};
+use crate::ast::{Aggregate, Expr, Order, Pattern, Query, QueryKind, TermOrVar, TriplePattern};
 use crate::parser::{parse_query, ParseError};
-use crate::spatial::{distance_with, envelope_with};
+use crate::spatial::GeoPreds;
 
 /// One solution: variable name → bound term.
 pub type Bindings = BTreeMap<String, Term>;
@@ -142,18 +144,21 @@ pub fn execute_masked(
 /// What an evaluation reads: a graph, optionally behind a label mask.
 /// Every triple read goes through here, so the mask cannot be bypassed by
 /// any operator, and `examined` counts the visible triples read.
-struct Source<'a> {
-    graph: &'a Graph,
+pub(crate) struct Source<'a> {
+    pub(crate) graph: &'a Graph,
     mask: Option<&'a ScanMask<'a>>,
     examined: Cell<u64>,
+    /// The geometry predicates' ids, resolved by the first spatial test.
+    pub(crate) geo: OnceCell<GeoPreds>,
 }
 
 impl<'a> Source<'a> {
-    fn new(graph: &'a Graph, mask: Option<&'a ScanMask<'a>>) -> Source<'a> {
+    pub(crate) fn new(graph: &'a Graph, mask: Option<&'a ScanMask<'a>>) -> Source<'a> {
         Source {
             graph,
             mask,
             examined: Cell::new(0),
+            geo: OnceCell::new(),
         }
     }
 
@@ -167,7 +172,7 @@ impl<'a> Source<'a> {
     }
 
     /// [`Graph::for_each_match_ids`] over the visible triples.
-    fn for_each_ids(
+    pub(crate) fn for_each_ids(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
@@ -237,42 +242,202 @@ impl<'a> Source<'a> {
             ));
         });
     }
-
-    /// The visible objects of `(s, p, ?)`.
-    fn objects(&self, s: &Term, p: &Term) -> Vec<Term> {
-        let mut out = Vec::new();
-        self.for_each(Some(s), Some(p), None, |t| out.push(t.object));
-        out
-    }
 }
 
-/// Sort rows in place by the ORDER BY keys.
-fn apply_order(rows: &mut [Bindings], order: &[Order]) {
-    if order.is_empty() {
-        return;
-    }
-    rows.sort_by(|a, b| {
-        for key in order {
-            let (var, desc) = match key {
-                Order::Asc(v) => (v, false),
-                Order::Desc(v) => (v, true),
-            };
-            let ord = compare_terms(a.get(var), b.get(var));
-            let ord = if desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
+/// One solution as expressions and the solution modifiers read it. The
+/// id pipeline's rows ([`IdRow`]) and materialized [`Bindings`] both give
+/// it, so FILTER, ORDER BY, DISTINCT and the rest each have one
+/// implementation for both.
+trait Row {
+    /// What DISTINCT hashes for one variable.
+    type Key<'r>: Hash + Eq
+    where
+        Self: 'r;
+
+    /// The term bound to `var`.
+    fn term(&self, var: &str) -> Option<&Term>;
+
+    /// The id in `graph` of the term bound to `var`; `None` when `var` is
+    /// unbound or its term was never interned by `graph`.
+    fn id(&self, graph: &Graph, var: &str) -> Option<TermId>;
+
+    /// DISTINCT's key for `var`: equal exactly when the terms are.
+    fn key(&self, var: &str) -> Option<Self::Key<'_>>;
+
+    /// The variables the row binds.
+    fn vars(&self) -> impl Iterator<Item = &str>;
+
+    /// The bindings of those of `vars` the row binds. Returned rows
+    /// materialize here, once, after every modifier has run.
+    fn project(&self, vars: &[String]) -> Bindings {
+        let mut b = Bindings::new();
+        for v in vars {
+            if let Some(t) = self.term(v) {
+                b.insert(v.clone(), t.clone());
             }
         }
-        Ordering::Equal
-    });
+        b
+    }
+
+    /// Every binding of the row.
+    fn to_bindings(&self) -> Bindings {
+        self.vars()
+            .filter_map(|v| Some((v.to_string(), self.term(v)?.clone())))
+            .collect()
+    }
 }
 
-/// Apply OFFSET/LIMIT.
-fn apply_slice(rows: Vec<Bindings>, offset: usize, limit: Option<usize>) -> Vec<Bindings> {
-    rows.into_iter()
-        .skip(offset)
-        .take(limit.unwrap_or(usize::MAX))
-        .collect()
+impl Row for Bindings {
+    type Key<'r> = &'r Term;
+
+    fn term(&self, var: &str) -> Option<&Term> {
+        self.get(var)
+    }
+
+    fn id(&self, graph: &Graph, var: &str) -> Option<TermId> {
+        graph.term_id(self.get(var)?)
+    }
+
+    fn key(&self, var: &str) -> Option<&Term> {
+        self.get(var)
+    }
+
+    fn vars(&self) -> impl Iterator<Item = &str> {
+        self.keys().map(String::as_str)
+    }
+}
+
+/// Rows of term ids stored flat, `width` ids each. The count is kept
+/// apart so that rows of no column (a BGP without variables) still count.
+#[derive(Default)]
+struct IdRows {
+    width: usize,
+    len: usize,
+    ids: Vec<TermId>,
+}
+
+impl IdRows {
+    fn row(&self, i: usize) -> &[TermId] {
+        &self.ids[i * self.width..(i + 1) * self.width]
+    }
+}
+
+/// The id pipeline's solutions: a BGP's rows, one column per variable.
+#[derive(Default)]
+struct IdTable {
+    /// Column names.
+    vars: Vec<String>,
+    rows: IdRows,
+}
+
+impl IdTable {
+    fn rows<'a>(&'a self, graph: &'a Graph) -> impl Iterator<Item = IdRow<'a>> {
+        (0..self.rows.len).map(move |i| IdRow {
+            graph,
+            vars: &self.vars,
+            ids: self.rows.row(i),
+        })
+    }
+}
+
+/// One row of an [`IdTable`]: terms are read in place, by id.
+#[derive(Clone, Copy)]
+struct IdRow<'a> {
+    graph: &'a Graph,
+    vars: &'a [String],
+    ids: &'a [TermId],
+}
+
+impl IdRow<'_> {
+    fn col(&self, var: &str) -> Option<TermId> {
+        self.vars.iter().position(|v| v == var).map(|c| self.ids[c])
+    }
+}
+
+impl Row for IdRow<'_> {
+    type Key<'r>
+        = TermId
+    where
+        Self: 'r;
+
+    fn term(&self, var: &str) -> Option<&Term> {
+        self.col(var).map(|id| self.graph.term_of(id))
+    }
+
+    fn id(&self, _: &Graph, var: &str) -> Option<TermId> {
+        self.col(var)
+    }
+
+    fn key(&self, var: &str) -> Option<TermId> {
+        self.col(var)
+    }
+
+    fn vars(&self) -> impl Iterator<Item = &str> {
+        self.vars.iter().map(String::as_str)
+    }
+}
+
+/// A row's projection onto `vars`, hashed and compared in place: what
+/// DISTINCT keeps a set of.
+struct Projected<'a, R> {
+    row: &'a R,
+    vars: &'a [String],
+}
+
+impl<R: Row> Hash for Projected<'_, R> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for v in self.vars {
+            self.row.key(v).hash(h);
+        }
+    }
+}
+
+impl<R: Row> PartialEq for Projected<'_, R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars
+            .iter()
+            .all(|v| self.row.key(v) == other.row.key(v))
+    }
+}
+
+impl<R: Row> Eq for Projected<'_, R> {}
+
+/// The solution modifiers in SPARQL's order (§18.2.5): ORDER BY, then
+/// DISTINCT over the projection `vars`, then OFFSET/LIMIT. Projection
+/// itself is left to [`Row::project`], so only the rows that survive
+/// materialize.
+fn modify<R: Row>(mut rows: Vec<R>, query: &Query, vars: &[String], distinct: bool) -> Vec<R> {
+    if !query.order.is_empty() {
+        rows.sort_by(|a, b| {
+            for key in &query.order {
+                let (var, desc) = match key {
+                    Order::Asc(v) => (v, false),
+                    Order::Desc(v) => (v, true),
+                };
+                let ord = compare_terms(a.term(var), b.term(var));
+                let ord = if desc { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
+    }
+    if distinct {
+        let keep: Vec<bool> = {
+            let mut seen = HashSet::with_capacity(rows.len());
+            rows.iter()
+                .map(|row| seen.insert(Projected { row, vars }))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        rows.retain(|_| keep.next() == Some(true));
+    }
+    if let Some(limit) = query.limit {
+        rows.truncate(query.offset.saturating_add(limit));
+    }
+    rows.drain(..query.offset.min(rows.len()));
+    rows
 }
 
 /// Execute a pre-parsed query without a deadline.
@@ -295,74 +460,101 @@ fn run_query(
     query: &Query,
     deadline: &Deadline,
 ) -> Result<QueryResult, QueryError> {
-    let raw = eval_pattern(src, &query.pattern, vec![Bindings::new()], deadline)?;
+    // The common shape, one BGP under its group's FILTERs, stays in id
+    // space: the filters and modifiers read terms in place and only the
+    // rows the query returns materialize. Every other pattern is
+    // evaluated on materialized bindings.
+    if let Some((triples, filters)) = bgp_with_filters(&query.pattern) {
+        let table = eval_bgp_ids(src, &triples, deadline)?;
+        let rows = filter_rows(src, table.rows(src.graph).collect(), &filters, deadline)?;
+        return Ok(finish(query, rows));
+    }
+    let rows = eval_pattern(src, &query.pattern, vec![Bindings::new()], deadline)?;
+    Ok(finish(query, rows))
+}
 
-    // Aggregate queries: grouping happens first; ORDER/OFFSET/LIMIT apply
-    // to the aggregated rows.
-    if let QueryKind::Select {
-        vars, aggregates, ..
-    } = &query.kind
-    {
-        if !aggregates.is_empty() {
-            let QueryResult::Select {
-                vars: out_vars,
-                mut rows,
-            } = aggregate_select(vars, aggregates, &query.group_by, raw)
-            else {
-                unreachable!("aggregate_select returns Select");
-            };
-            apply_order(&mut rows, &query.order);
-            let rows = apply_slice(rows, query.offset, query.limit);
-            return Ok(QueryResult::Select {
-                vars: out_vars,
-                rows,
-            });
+/// The triple patterns and FILTERs of a pattern the id pipeline runs: a
+/// BGP, or a group of BGPs and FILTERs (a conjunction of triple patterns
+/// under filters that constrain the whole group).
+fn bgp_with_filters(pattern: &Pattern) -> Option<(Vec<&TriplePattern>, Vec<&Expr>)> {
+    let parts = match pattern {
+        Pattern::Group(parts) => parts.as_slice(),
+        single => std::slice::from_ref(single),
+    };
+    let mut triples = Vec::new();
+    let mut filters = Vec::new();
+    for part in parts {
+        match part {
+            Pattern::Bgp(ts) => triples.extend(ts),
+            Pattern::Filter(e) => filters.push(e),
+            _ => return None,
         }
     }
+    (!triples.is_empty()).then_some((triples, filters))
+}
 
-    // Non-aggregate path: modifiers apply to the solution sequence.
-    let mut solutions = raw;
-    apply_order(&mut solutions, &query.order);
-    let solutions = apply_slice(solutions, query.offset, query.limit);
-
-    Ok(match &query.kind {
-        QueryKind::Ask => QueryResult::Boolean(!solutions.is_empty()),
-        QueryKind::Select { vars, distinct, .. } => {
-            let vars = if vars.is_empty() {
-                // SELECT *: every variable seen, sorted for determinism.
-                let mut all: Vec<String> = solutions
-                    .iter()
-                    .flat_map(|b| b.keys().cloned())
-                    .collect::<HashSet<_>>()
-                    .into_iter()
-                    .collect();
-                all.sort();
-                all
-            } else {
-                vars.clone()
-            };
-            let mut rows: Vec<Bindings> = solutions
-                .into_iter()
-                .map(|b| {
-                    vars.iter()
-                        .filter_map(|v| b.get(v).map(|t| (v.clone(), t.clone())))
-                        .collect()
-                })
-                .collect();
-            if *distinct {
-                let mut seen: HashSet<String> = HashSet::new();
-                rows.retain(|r| seen.insert(format!("{r:?}")));
-            }
-            QueryResult::Select { vars, rows }
+/// Keep the rows on which every filter evaluates to true.
+fn filter_rows<R: Row>(
+    src: &Source<'_>,
+    rows: Vec<R>,
+    filters: &[&Expr],
+    deadline: &Deadline,
+) -> Result<Vec<R>, DeadlineExceeded> {
+    if filters.is_empty() {
+        return Ok(rows);
+    }
+    let mut kept = Vec::new();
+    for (n, row) in rows.into_iter().enumerate() {
+        if n % 1024 == 0 {
+            deadline.check()?;
         }
+        if filters
+            .iter()
+            .all(|e| eval_expr(src, e, &row, deadline).and_then(EvalValue::truthy) == Some(true))
+        {
+            kept.push(row);
+        }
+    }
+    // EXISTS/NOT EXISTS sub-evaluation swallows expiry into a `None`
+    // filter value; expiry latches, so this check surfaces it before any
+    // partial row set escapes.
+    deadline.check()?;
+    Ok(kept)
+}
+
+/// Aggregation, the solution modifiers and the result form.
+fn finish<R: Row>(query: &Query, rows: Vec<R>) -> QueryResult {
+    match &query.kind {
+        QueryKind::Select {
+            vars,
+            aggregates,
+            distinct,
+        } => {
+            if aggregates.is_empty() {
+                let vars = if vars.is_empty() {
+                    // SELECT *: every variable seen, sorted for determinism.
+                    let all: BTreeSet<&str> = rows.iter().flat_map(Row::vars).collect();
+                    all.into_iter().map(str::to_string).collect()
+                } else {
+                    vars.clone()
+                };
+                select(query, vars, rows, *distinct)
+            } else {
+                // Grouping comes first; the modifiers apply to the
+                // aggregated rows.
+                let (vars, rows) = aggregate_select(vars, aggregates, &query.group_by, rows);
+                select(query, vars, rows, *distinct)
+            }
+        }
+        QueryKind::Ask => QueryResult::Boolean(!modify(rows, query, &[], false).is_empty()),
         QueryKind::Construct { template } => {
             let mut g = Graph::new();
-            for b in &solutions {
+            for row in &modify(rows, query, &[], false) {
                 for t in template {
                     let (Some(s), Some(p), Some(o)) = (
-                        resolve(&t.subject, b),
-                        resolve(&t.predicate, b),
-                        resolve(&t.object, b),
+                        resolve(&t.subject, row),
+                        resolve(&t.predicate, row),
+                        resolve(&t.object, row),
                     ) else {
                         continue;
                     };
@@ -373,26 +565,35 @@ fn run_query(
             }
             QueryResult::Graph(g)
         }
-    })
+    }
+}
+
+/// A SELECT result: the modifiers, then the projection of what remains.
+fn select<R: Row>(query: &Query, vars: Vec<String>, rows: Vec<R>, distinct: bool) -> QueryResult {
+    let rows = modify(rows, query, &vars, distinct)
+        .iter()
+        .map(|r| r.project(&vars))
+        .collect();
+    QueryResult::Select { vars, rows }
 }
 
 /// Grouped aggregation: partition solutions by the GROUP BY key (one
 /// global group when absent) and compute each aggregate per group.
-fn aggregate_select(
+/// Returns the output variables and one row per group.
+fn aggregate_select<R: Row>(
     vars: &[String],
-    aggregates: &[crate::ast::Aggregate],
+    aggregates: &[Aggregate],
     group_by: &[String],
-    solutions: Vec<Bindings>,
-) -> QueryResult {
+    solutions: Vec<R>,
+) -> (Vec<String>, Vec<Bindings>) {
     use crate::ast::AggFunc;
-    use std::collections::BTreeMap;
 
-    let mut groups: BTreeMap<Vec<Option<Term>>, Vec<Bindings>> = BTreeMap::new();
+    let mut groups: BTreeMap<Vec<Option<Term>>, Vec<R>> = BTreeMap::new();
     if group_by.is_empty() {
         groups.insert(Vec::new(), solutions);
     } else {
         for b in solutions {
-            let key: Vec<Option<Term>> = group_by.iter().map(|v| b.get(v).cloned()).collect();
+            let key: Vec<Option<Term>> = group_by.iter().map(|v| b.term(v).cloned()).collect();
             groups.entry(key).or_default().push(b);
         }
     }
@@ -412,7 +613,7 @@ fn aggregate_select(
             // Collect the aggregated values of this group.
             let mut values: Vec<Term> = match &agg.var {
                 None => members.iter().map(|_| Term::boolean(true)).collect(), // COUNT(*)
-                Some(v) => members.iter().filter_map(|b| b.get(v).cloned()).collect(),
+                Some(v) => members.iter().filter_map(|b| b.term(v).cloned()).collect(),
             };
             if agg.distinct {
                 let mut seen = HashSet::new();
@@ -451,16 +652,13 @@ fn aggregate_select(
         }
         rows.push(row);
     }
-    QueryResult::Select {
-        vars: out_vars,
-        rows,
-    }
+    (out_vars, rows)
 }
 
-fn resolve(t: &TermOrVar, b: &Bindings) -> Option<Term> {
+fn resolve(t: &TermOrVar, row: &impl Row) -> Option<Term> {
     match t {
         TermOrVar::Term(t) => Some(t.clone()),
-        TermOrVar::Var(v) => b.get(v).cloned(),
+        TermOrVar::Var(v) => row.term(v).cloned(),
     }
 }
 
@@ -492,11 +690,18 @@ fn eval_pattern(
             Ok(out)
         }
         Pattern::Group(parts) => {
+            // A FILTER constrains its whole group wherever it is placed
+            // (SPARQL 1.1 §5.2.2), so the filters run after every other
+            // part.
             let mut acc = input;
+            let mut filters = Vec::new();
             for part in parts {
-                acc = eval_pattern(src, part, acc, deadline)?;
+                match part {
+                    Pattern::Filter(e) => filters.push(e),
+                    _ => acc = eval_pattern(src, part, acc, deadline)?,
+                }
             }
-            Ok(acc)
+            filter_rows(src, acc, &filters, deadline)
         }
         Pattern::Optional(inner) => {
             let mut out = Vec::new();
@@ -516,19 +721,7 @@ fn eval_pattern(
             out.extend(eval_pattern(src, r, input, deadline)?);
             Ok(out)
         }
-        Pattern::Filter(e) => {
-            let rows: Vec<Bindings> = input
-                .into_iter()
-                .filter(|b| {
-                    eval_expr(src, e, b, deadline).and_then(EvalValue::truthy) == Some(true)
-                })
-                .collect();
-            // EXISTS/NOT EXISTS sub-evaluation swallows expiry into a
-            // `None` filter value; expiry latches, so this check surfaces
-            // it before any partial row set escapes.
-            deadline.check()?;
-            Ok(rows)
-        }
+        Pattern::Filter(e) => filter_rows(src, input, &[e], deadline),
     }
 }
 
@@ -587,11 +780,12 @@ fn eval_bgp(
     input: Vec<Bindings>,
     deadline: &Deadline,
 ) -> Result<Vec<Bindings>, DeadlineExceeded> {
-    // Top-level BGPs (the hot path) run on the id-columnar engine: terms
+    // A BGP with nothing bound yet runs on the id-columnar engine: terms
     // are interned once, the join works on `TermId` rows, and terms are
-    // cloned only when the surviving rows materialize back to bindings.
+    // cloned only when its rows materialize back to bindings.
     if input.len() == 1 && input[0].is_empty() && !triples.is_empty() {
-        return eval_bgp_ids(src, triples, deadline);
+        let table = eval_bgp_ids(src, &triples.iter().collect::<Vec<_>>(), deadline)?;
+        return Ok(table.rows(src.graph).map(|r| r.to_bindings()).collect());
     }
     // Input bindings also count as bound, conservatively using the first
     // solution's keys.
@@ -603,7 +797,7 @@ fn eval_bgp(
     let order = {
         let _span = grdf_obs::span("query.plan");
         if src.mask.is_some() {
-            let Some((pats, vars)) = lower_bgp(src.graph, triples) else {
+            let Some((pats, vars)) = lower_bgp(src.graph, triples.iter()) else {
                 return Ok(Vec::new()); // an unknown constant matches nothing
             };
             let bound = vars.iter().map(|v| bound_vars.contains(v)).collect();
@@ -671,7 +865,10 @@ impl IdPattern {
 /// Lower a BGP to id patterns plus the variable name table. `None` means
 /// some constant term was never interned by this graph, so the
 /// conjunction can match nothing at all.
-fn lower_bgp(graph: &Graph, triples: &[TriplePattern]) -> Option<(Vec<IdPattern>, Vec<String>)> {
+fn lower_bgp<'t>(
+    graph: &Graph,
+    triples: impl IntoIterator<Item = &'t TriplePattern>,
+) -> Option<(Vec<IdPattern>, Vec<String>)> {
     let mut vars: Vec<String> = Vec::new();
     let mut lower = |t: &TermOrVar| -> Option<Slot> {
         match t {
@@ -684,7 +881,7 @@ fn lower_bgp(graph: &Graph, triples: &[TriplePattern]) -> Option<(Vec<IdPattern>
             ))),
         }
     };
-    let mut pats = Vec::with_capacity(triples.len());
+    let mut pats = Vec::new();
     for t in triples {
         pats.push(IdPattern {
             s: lower(&t.subject)?,
@@ -841,16 +1038,15 @@ fn gallop(col: &[TermId], lo: usize, key: TermId, strict: bool) -> usize {
 /// in plan order. Patterns joined through a bound object on a clean
 /// predicate run use a galloping sorted merge over the zero-copy POS
 /// slices; disconnected patterns scan once and cross; everything else
-/// falls back to per-row sorted index probes. Terms materialize once at
-/// the end.
+/// falls back to per-row sorted index probes. No term materializes here.
 fn eval_bgp_ids(
     src: &Source<'_>,
-    triples: &[TriplePattern],
+    triples: &[&TriplePattern],
     deadline: &Deadline,
-) -> Result<Vec<Bindings>, DeadlineExceeded> {
+) -> Result<IdTable, DeadlineExceeded> {
     let graph = src.graph;
-    let Some((pats, vars)) = lower_bgp(graph, triples) else {
-        return Ok(Vec::new()); // an unknown constant matches nothing
+    let Some((pats, vars)) = lower_bgp(graph, triples.iter().copied()) else {
+        return Ok(IdTable::default()); // an unknown constant matches nothing
     };
     let order = {
         let _span = grdf_obs::span("query.plan");
@@ -862,10 +1058,15 @@ fn eval_bgp_ids(
     };
 
     let _span = grdf_obs::span("query.join");
-    // Column layout grows as patterns bind variables.
+    // Column layout grows as patterns bind variables; the rows live in
+    // one flat buffer, `width` ids each.
     let mut col_of: Vec<Option<usize>> = vec![None; vars.len()];
     let mut col_var: Vec<usize> = Vec::new();
-    let mut rows: Vec<Vec<TermId>> = vec![Vec::new()];
+    let mut rows = IdRows {
+        width: 0,
+        len: 1,
+        ids: Vec::new(),
+    };
 
     for pi in order {
         let pat = &pats[pi];
@@ -911,26 +1112,30 @@ fn eval_bgp_ids(
                 P::New => None,
             }
         };
-        let emit_row =
-            |row: &[TermId], s: TermId, p: TermId, o: TermId, next: &mut Vec<Vec<TermId>>| {
-                let comp = [s, p, o];
-                let mut r = Vec::with_capacity(row.len() + emits.len());
-                r.extend_from_slice(row);
-                for &(ci, check) in &emits {
-                    match check {
-                        None => r.push(comp[ci]),
-                        Some(col) => {
-                            if r[col] != comp[ci] {
-                                return;
-                            }
+        let mut next = IdRows {
+            width: rows.width + emits.iter().filter(|e| e.1.is_none()).count(),
+            len: 0,
+            ids: Vec::new(),
+        };
+        let emit_row = |row: &[TermId], s: TermId, p: TermId, o: TermId, next: &mut IdRows| {
+            let comp = [s, p, o];
+            let start = next.ids.len();
+            next.ids.extend_from_slice(row);
+            for &(ci, check) in &emits {
+                match check {
+                    None => next.ids.push(comp[ci]),
+                    Some(col) => {
+                        if next.ids[start + col] != comp[ci] {
+                            next.ids.truncate(start);
+                            return;
                         }
                     }
                 }
-                next.push(r);
-            };
+            }
+            next.len += 1;
+        };
 
         let bound_cols = resolved.iter().any(|p| matches!(p, P::Bound(_)));
-        let mut next: Vec<Vec<TermId>> = Vec::new();
 
         // Merge-join fast path: constant predicate with a clean run
         // slice, joined through the bound object column. Rows sort by
@@ -942,15 +1147,16 @@ fn eval_bgp_ids(
             _ => None,
         };
         if let Some((pid, oc, objs, subs)) = merge {
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
-            idx.sort_unstable_by_key(|&i| rows[i][oc]);
+            let mut idx: Vec<usize> = (0..rows.len).collect();
+            idx.sort_unstable_by_key(|&i| rows.row(i)[oc]);
             let mut lo = 0;
             let mut read = 0;
             for (n, &i) in idx.iter().enumerate() {
                 if n % 1024 == 0 {
                     deadline.check()?;
                 }
-                let key = rows[i][oc];
+                let row = rows.row(i);
+                let key = row[oc];
                 lo = gallop(objs, lo, key, false);
                 let hi = gallop(objs, lo, key, true);
                 match resolved[0] {
@@ -958,14 +1164,14 @@ fn eval_bgp_ids(
                         for &s in &subs[lo..hi] {
                             if src.visible(s, pid) {
                                 read += 1;
-                                emit_row(&rows[i], s, pid, key, &mut next);
+                                emit_row(row, s, pid, key, &mut next);
                             }
                         }
                     }
                     P::Const(sid) => {
                         if subs[lo..hi].binary_search(&sid).is_ok() && src.visible(sid, pid) {
                             read += 1;
-                            emit_row(&rows[i], sid, pid, key, &mut next);
+                            emit_row(row, sid, pid, key, &mut next);
                         }
                     }
                     P::Bound(_) => unreachable!("excluded above"),
@@ -979,13 +1185,13 @@ fn eval_bgp_ids(
                 P::Bound(c) => Some(c),
                 _ => None,
             });
-            let mut idx: Vec<usize> = (0..rows.len()).collect();
+            let mut idx: Vec<usize> = (0..rows.len).collect();
             if let Some(c) = sort_key {
-                idx.sort_unstable_by_key(|&i| rows[i][c]);
+                idx.sort_unstable_by_key(|&i| rows.row(i)[c]);
             }
             for &i in &idx {
                 deadline.check()?;
-                let row = &rows[i];
+                let row = rows.row(i);
                 src.for_each_ids(probe(row, 0), probe(row, 1), probe(row, 2), |s, p, o| {
                     emit_row(row, s, p, o, &mut next);
                 });
@@ -998,10 +1204,10 @@ fn eval_bgp_ids(
             src.for_each_ids(probe(&[], 0), probe(&[], 1), probe(&[], 2), |s, p, o| {
                 matches.push((s, p, o));
             });
-            for row in &rows {
+            for i in 0..rows.len {
                 deadline.check()?;
                 for &(s, p, o) in &matches {
-                    emit_row(row, s, p, o, &mut next);
+                    emit_row(rows.row(i), s, p, o, &mut next);
                 }
             }
         }
@@ -1014,22 +1220,16 @@ fn eval_bgp_ids(
             }
         }
         rows = next;
-        if rows.is_empty() {
+        if rows.len == 0 {
             break;
         }
     }
 
-    grdf_obs::add("query.join.rows", rows.len() as u64);
-    Ok(rows
-        .into_iter()
-        .map(|r| {
-            col_var
-                .iter()
-                .zip(r)
-                .map(|(&v, id)| (vars[v].clone(), graph.term_of(id).clone()))
-                .collect()
-        })
-        .collect())
+    grdf_obs::add("query.join.rows", rows.len as u64);
+    Ok(IdTable {
+        vars: col_var.iter().map(|&v| vars[v].clone()).collect(),
+        rows,
+    })
 }
 
 fn match_one(src: &Source<'_>, t: &TriplePattern, binding: &Bindings, out: &mut Vec<Bindings>) {
@@ -1184,14 +1384,15 @@ fn bind(b: &mut Bindings, slot: &TermOrVar, value: &Term) -> bool {
     }
 }
 
-/// Expression evaluation values.
-enum EvalValue {
+/// Expression evaluation values. Terms are borrowed from the query or,
+/// through the row, from the graph.
+enum EvalValue<'a> {
     Bool(bool),
     Num(f64),
-    Term(Term),
+    Term(&'a Term),
 }
 
-impl EvalValue {
+impl<'a> EvalValue<'a> {
     fn truthy(self) -> Option<bool> {
         match self {
             EvalValue::Bool(b) => Some(b),
@@ -1201,8 +1402,8 @@ impl EvalValue {
     }
 
     fn as_num(&self) -> Option<f64> {
-        match self {
-            EvalValue::Num(n) => Some(*n),
+        match *self {
+            EvalValue::Num(n) => Some(n),
             EvalValue::Term(t) => {
                 let l = t.as_literal()?;
                 // xsd:dateTime/xsd:date compare chronologically, via epoch
@@ -1220,55 +1421,61 @@ impl EvalValue {
         }
     }
 
-    fn as_text(&self) -> Option<String> {
-        match self {
-            EvalValue::Term(Term::Literal(l)) => Some(l.lexical().to_string()),
-            EvalValue::Term(Term::Iri(i)) => Some(i.to_string()),
-            EvalValue::Term(Term::Blank(b)) => Some(format!("_:{b}")),
-            EvalValue::Num(n) => Some(n.to_string()),
-            EvalValue::Bool(b) => Some(b.to_string()),
-        }
+    fn as_text(&self) -> Option<Cow<'a, str>> {
+        Some(match *self {
+            EvalValue::Term(Term::Literal(l)) => Cow::Borrowed(l.lexical()),
+            EvalValue::Term(Term::Iri(i)) => Cow::Borrowed(&**i),
+            EvalValue::Term(Term::Blank(b)) => Cow::Owned(format!("_:{b}")),
+            EvalValue::Num(n) => Cow::Owned(n.to_string()),
+            EvalValue::Bool(b) => Cow::Owned(b.to_string()),
+        })
     }
 }
 
-fn eval_expr(src: &Source<'_>, e: &Expr, b: &Bindings, deadline: &Deadline) -> Option<EvalValue> {
+fn eval_expr<'a, R: Row>(
+    src: &Source<'_>,
+    e: &'a Expr,
+    row: &'a R,
+    deadline: &Deadline,
+) -> Option<EvalValue<'a>> {
+    let g = src.graph;
     match e {
-        Expr::Const(t) => Some(EvalValue::Term(t.clone())),
-        Expr::Var(v) => b.get(v).cloned().map(EvalValue::Term),
-        Expr::Bound(v) => Some(EvalValue::Bool(b.contains_key(v))),
+        Expr::Const(t) => Some(EvalValue::Term(t)),
+        Expr::Var(v) => row.term(v).map(EvalValue::Term),
+        Expr::Bound(v) => Some(EvalValue::Bool(row.term(v).is_some())),
         Expr::Not(inner) => {
-            let v = eval_expr(src, inner, b, deadline)?.truthy()?;
+            let v = eval_expr(src, inner, row, deadline)?.truthy()?;
             Some(EvalValue::Bool(!v))
         }
         Expr::And(l, r) => {
-            let lv = eval_expr(src, l, b, deadline)?.truthy()?;
+            let lv = eval_expr(src, l, row, deadline)?.truthy()?;
             if !lv {
                 return Some(EvalValue::Bool(false));
             }
-            Some(EvalValue::Bool(eval_expr(src, r, b, deadline)?.truthy()?))
+            Some(EvalValue::Bool(eval_expr(src, r, row, deadline)?.truthy()?))
         }
         Expr::Or(l, r) => {
-            let lv = eval_expr(src, l, b, deadline)?.truthy()?;
+            let lv = eval_expr(src, l, row, deadline)?.truthy()?;
             if lv {
                 return Some(EvalValue::Bool(true));
             }
-            Some(EvalValue::Bool(eval_expr(src, r, b, deadline)?.truthy()?))
+            Some(EvalValue::Bool(eval_expr(src, r, row, deadline)?.truthy()?))
         }
-        Expr::Eq(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Equal),
-        Expr::Ne(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Equal),
-        Expr::Lt(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Less),
-        Expr::Le(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Greater),
-        Expr::Gt(l, r) => compare(src, l, r, b, deadline, |o| o == Ordering::Greater),
-        Expr::Ge(l, r) => compare(src, l, r, b, deadline, |o| o != Ordering::Less),
+        Expr::Eq(l, r) => compare(src, l, r, row, deadline, |o| o == Ordering::Equal),
+        Expr::Ne(l, r) => compare(src, l, r, row, deadline, |o| o != Ordering::Equal),
+        Expr::Lt(l, r) => compare(src, l, r, row, deadline, |o| o == Ordering::Less),
+        Expr::Le(l, r) => compare(src, l, r, row, deadline, |o| o != Ordering::Greater),
+        Expr::Gt(l, r) => compare(src, l, r, row, deadline, |o| o == Ordering::Greater),
+        Expr::Ge(l, r) => compare(src, l, r, row, deadline, |o| o != Ordering::Less),
         Expr::Contains(l, r) => {
-            let hay = eval_expr(src, l, b, deadline)?.as_text()?;
-            let needle = eval_expr(src, r, b, deadline)?.as_text()?;
-            Some(EvalValue::Bool(hay.contains(&needle)))
+            let hay = eval_expr(src, l, row, deadline)?.as_text()?;
+            let needle = eval_expr(src, r, row, deadline)?.as_text()?;
+            Some(EvalValue::Bool(hay.contains(&*needle)))
         }
         Expr::StrStarts(l, r) => {
-            let hay = eval_expr(src, l, b, deadline)?.as_text()?;
-            let prefix = eval_expr(src, r, b, deadline)?.as_text()?;
-            Some(EvalValue::Bool(hay.starts_with(&prefix)))
+            let hay = eval_expr(src, l, row, deadline)?.as_text()?;
+            let prefix = eval_expr(src, r, row, deadline)?.as_text()?;
+            Some(EvalValue::Bool(hay.starts_with(&*prefix)))
         }
         Expr::IntersectsBox {
             feature,
@@ -1277,36 +1484,37 @@ fn eval_expr(src: &Source<'_>, e: &Expr, b: &Bindings, deadline: &Deadline) -> O
             x1,
             y1,
         } => {
-            let f = b.get(feature)?;
-            let env = envelope_with(f, &|s: &Term, p: &Term| src.objects(s, p))?;
+            let env = src.envelope(row.id(g, feature)?)?;
             let query = grdf_geometry::envelope::Envelope::new(
                 grdf_geometry::coord::Coord::xy(*x0, *y0),
                 grdf_geometry::coord::Coord::xy(*x1, *y1),
             );
             Some(EvalValue::Bool(env.intersects(&query)))
         }
+        // The two-feature builtins read no extent unless both features
+        // are bound, so an unbound one costs no read (and no charge).
         Expr::Within { inner, outer } => {
-            let fi = b.get(inner)?;
-            let fo = b.get(outer)?;
-            let objects = |s: &Term, p: &Term| src.objects(s, p);
-            let ei = envelope_with(fi, &objects)?;
-            let eo = envelope_with(fo, &objects)?;
+            row.term(inner).and(row.term(outer))?;
+            let ei = src.envelope(row.id(g, inner)?)?;
+            let eo = src.envelope(row.id(g, outer)?)?;
             Some(EvalValue::Bool(eo.contains_envelope(&ei)))
         }
-        Expr::Distance { a, b: bb } => {
-            let fa = b.get(a)?;
-            let fb = b.get(bb)?;
-            let objects = |s: &Term, p: &Term| src.objects(s, p);
-            Some(EvalValue::Num(distance_with(fa, fb, &objects)?))
+        // Planar distance between the centers of the two extents.
+        Expr::Distance { a, b } => {
+            row.term(a).and(row.term(b))?;
+            let ea = src.envelope(row.id(g, a)?)?;
+            let eb = src.envelope(row.id(g, b)?)?;
+            Some(EvalValue::Num(ea.center().distance_2d(&eb.center())))
         }
+        // EXISTS materializes only the row it tests.
         Expr::Exists(p) => {
-            let found = !eval_pattern(src, p, vec![b.clone()], deadline)
+            let found = !eval_pattern(src, p, vec![row.to_bindings()], deadline)
                 .ok()?
                 .is_empty();
             Some(EvalValue::Bool(found))
         }
         Expr::NotExists(p) => {
-            let found = !eval_pattern(src, p, vec![b.clone()], deadline)
+            let found = !eval_pattern(src, p, vec![row.to_bindings()], deadline)
                 .ok()?
                 .is_empty();
             Some(EvalValue::Bool(!found))
@@ -1314,16 +1522,16 @@ fn eval_expr(src: &Source<'_>, e: &Expr, b: &Bindings, deadline: &Deadline) -> O
     }
 }
 
-fn compare(
+fn compare<'a, R: Row>(
     src: &Source<'_>,
-    l: &Expr,
-    r: &Expr,
-    b: &Bindings,
+    l: &'a Expr,
+    r: &'a Expr,
+    row: &'a R,
     deadline: &Deadline,
     test: fn(Ordering) -> bool,
-) -> Option<EvalValue> {
-    let lv = eval_expr(src, l, b, deadline)?;
-    let rv = eval_expr(src, r, b, deadline)?;
+) -> Option<EvalValue<'a>> {
+    let lv = eval_expr(src, l, row, deadline)?;
+    let rv = eval_expr(src, r, row, deadline)?;
     // Numeric comparison when both sides are numeric.
     if let (Some(ln), Some(rn)) = (lv.as_num(), rv.as_num()) {
         return Some(EvalValue::Bool(test(ln.partial_cmp(&rn)?)));
@@ -2018,6 +2226,22 @@ mod tests {
                 Term::string(&format!("POINT ({i} {i})")),
             ));
         }
+        // s0's geometry node is hidden below, while its bounding envelope,
+        // far from its point, is shown: a window must follow the visible
+        // fallback. A zone's envelope covers the points (0 0) to (5 5).
+        let bounded = |f: Term, node: &str, coords: &str| {
+            [
+                Triple::new(f, gr("isBoundedBy"), Term::blank(node)),
+                Triple::new(Term::blank(node), gr("coordinates"), Term::string(coords)),
+            ]
+        };
+        triples.extend(bounded(app("s0"), "b0", "49,49 51,51"));
+        triples.extend(bounded(app("zone"), "z", "-1,-1 5,5"));
+        triples.push(Triple::new(
+            app("zone"),
+            Term::iri(grdf_rdf::vocab::rdf::TYPE),
+            app("Zone"),
+        ));
         let mut g = Graph::new();
         g.extend_triples(triples);
         let near = g.term_id(&app("near")).unwrap();
@@ -2031,7 +2255,12 @@ mod tests {
         let visible = labels.add_class(vec![shown.clone(), VisBitset::new(1)]);
         for i in (0..10).step_by(2) {
             labels.set_subject(g.term_id(&app(&format!("s{i}"))).unwrap(), visible);
-            labels.set_subject(g.term_id(&Term::blank(&format!("g{i}"))).unwrap(), visible);
+            if i > 0 {
+                labels.set_subject(g.term_id(&Term::blank(&format!("g{i}"))).unwrap(), visible);
+            }
+        }
+        for t in [app("zone"), Term::blank("z"), Term::blank("b0")] {
+            labels.set_subject(g.term_id(&t).unwrap(), visible);
         }
         let mask = labels.mask(&shown);
         let mut subgraph = Graph::new();
@@ -2053,22 +2282,37 @@ mod tests {
         let open_mask = open.mask(&shown);
 
         let prefix = "PREFIX app: <http://grdf.org/app#> PREFIX g: <http://grdf.org/ontology#> ";
-        for body in [
-            "SELECT ?s ?p ?o WHERE { ?s ?p ?o }",
-            "SELECT ?a ?b WHERE { ?b app:hasSiteName \"Site 4\" . ?a app:near ?b }",
-            "SELECT ?a ?n WHERE { ?a app:near ?b . ?b app:hasSiteName ?n }",
-            "SELECT ?s ?v WHERE { ?s app:secret ?v }",
-            "SELECT ?a ?c WHERE { ?a app:near/app:near ?c }",
-            "SELECT ?a ?c WHERE { ?a app:near+ ?c }",
-            "SELECT ?s WHERE { ?s a app:ChemSite . FILTER(EXISTS { ?s app:near ?x }) }",
-            "SELECT ?s WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:secret ?v } FILTER(!BOUND(?v)) }",
-            "SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:intersectsBox(?s, 2.5, 2.5, 7.5, 7.5)) }",
+        // Each query with the rows it must return, so that no case passes
+        // by returning nothing on both sides.
+        for (body, rows) in [
+            ("SELECT ?s ?p ?o WHERE { ?s ?p ?o }", 29),
+            ("SELECT ?a ?b WHERE { ?b app:hasSiteName \"Site 4\" . ?a app:near ?b }", 0),
+            ("SELECT ?a ?n WHERE { ?a app:near ?b . ?b app:hasSiteName ?n }", 0),
+            ("SELECT ?s ?v WHERE { ?s app:secret ?v }", 0),
+            ("SELECT ?a ?c WHERE { ?a app:near/app:near ?c }", 0),
+            ("SELECT ?a ?c WHERE { ?a app:near+ ?c }", 5),
+            ("SELECT ?s WHERE { ?s a app:ChemSite . FILTER(EXISTS { ?s app:near ?x }) }", 5),
+            ("SELECT ?s WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:secret ?v } FILTER(!BOUND(?v)) }", 5),
+            ("SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:intersectsBox(?s, 2.5, 2.5, 7.5, 7.5)) }", 2),
+            // s0's point is hidden; its visible envelope lies at (50 50).
+            ("SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:intersectsBox(?s, -0.5, -0.5, 0.5, 0.5)) }", 0),
+            ("SELECT ?s WHERE { ?s a app:ChemSite . FILTER(grdf:intersectsBox(?s, 45, 45, 55, 55)) }", 1),
+            ("SELECT ?s WHERE { ?s a app:ChemSite . ?z a app:Zone . FILTER(grdf:within(?s, ?z)) }", 2),
+            ("SELECT ?s ?z WHERE { ?s a app:ChemSite . ?z a app:Zone . FILTER(grdf:distance(?s, ?z) < 4) }", 2),
+            // The solution modifiers in SPARQL's order, with keys that
+            // leave no ties for LIMIT to break.
+            ("SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY DESC(?s) LIMIT 2", 2),
+            ("SELECT DISTINCT ?s WHERE { ?s a app:ChemSite . ?s ?p ?o } ORDER BY ?s OFFSET 1 LIMIT 2", 2),
+            ("SELECT DISTINCT ?p WHERE { ?s ?p ?o } ORDER BY ?p OFFSET 2", 5),
+            // A FILTER placed before the pattern that binds its variables.
+            ("SELECT ?s WHERE { FILTER(?v > 2) ?s app:secret ?v }", 0),
+            ("SELECT ?b WHERE { FILTER(CONTAINS(?n, \"4\")) ?a app:near ?b . ?a app:hasSiteName ?n }", 1),
             // Hidden matches must not decide the join order: whole-graph
             // counts tie these patterns, so input order would read the
             // visible one first although the hidden one empties the join.
-            "SELECT ?n WHERE { app:s0 app:hasSiteName ?n . ?x app:secret 3 }",
-            "SELECT ?n WHERE { ?s app:hasSiteName ?n . ?s app:secret ?v }",
-            "SELECT ?n WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:hasSiteName ?n . ?s app:secret ?v } }",
+            ("SELECT ?n WHERE { app:s0 app:hasSiteName ?n . ?x app:secret 3 }", 0),
+            ("SELECT ?n WHERE { ?s app:hasSiteName ?n . ?s app:secret ?v }", 0),
+            ("SELECT ?n WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:hasSiteName ?n . ?s app:secret ?v } }", 5),
         ] {
             let q = format!("{prefix}{body}");
             let (got, examined) = execute_masked(&g, &mask, &q, &Deadline::never()).unwrap();
@@ -2080,6 +2324,7 @@ mod tests {
                 rows
             };
             assert_eq!(canon(&got), canon(&want), "{body}");
+            assert_eq!(got.select_rows().len(), rows, "{body}");
             let (_, charged) =
                 execute_masked(&subgraph, &open_mask, &q, &Deadline::never()).unwrap();
             assert_eq!(examined, charged, "{body}: charge depends on hidden triples");

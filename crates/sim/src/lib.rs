@@ -33,4 +33,7 @@ pub use schedule::{
     Action, ConnFault, EngineFault, FaultEvent, Schedule, StorageFault, WorldFault,
 };
 pub use shrink::{shrink as shrink_seed, ShrinkResult};
-pub use world::{graph_hash, run, run_schedule, Bug, SimConfig, SimReport, Violation, SECRET};
+pub use world::{
+    graph_hash, pipelined_stream_ok, run, run_schedule, Bug, SimConfig, SimReport, Violation,
+    SECRET,
+};

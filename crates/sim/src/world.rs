@@ -373,6 +373,15 @@ fn contains_secret(raw: &[u8]) -> bool {
     raw.windows(SECRET.len()).any(|w| w == SECRET.as_bytes())
 }
 
+/// The wire oracle for a pipelined (keep-alive) response stream, which is
+/// not one well-formed response: it must start with a status line. A
+/// stream the schedule tore (`excused`) may instead stop inside that
+/// line's `HTTP/1.1 ` prefix. Any other first bytes fail, excused or not.
+pub fn pipelined_stream_ok(raw: &[u8], excused: bool) -> bool {
+    const STATUS: &[u8] = b"HTTP/1.1 ";
+    raw.is_empty() || raw.starts_with(STATUS) || (excused && STATUS.starts_with(raw))
+}
+
 // ---------------------------------------------------------------------------
 // The world
 // ---------------------------------------------------------------------------
@@ -664,7 +673,7 @@ impl World {
                     chem_query().as_bytes(),
                     true,
                 );
-                let (raw, _excused) = self.exchange(&[b, a], fault);
+                let (raw, excused) = self.exchange(&[b, a], fault);
                 if contains_secret(&raw) {
                     self.violation(
                         step,
@@ -672,7 +681,7 @@ impl World {
                         "restricted role received the secret literal (pipelined)".to_string(),
                     );
                 }
-                if !raw.is_empty() && !raw.starts_with(b"HTTP/1.1 ") {
+                if !pipelined_stream_ok(&raw, excused) {
                     self.violation(
                         step,
                         "torn-response",

@@ -442,7 +442,9 @@ fn step_requests(step: Step) -> Vec<Vec<UpdateOp>> {
 }
 
 /// Every visible triple, a geometry window, an EXISTS filter, a property
-/// path and a join: the operators that read triples.
+/// path, a join, and the dashboard shape (DISTINCT over a join with
+/// duplicates, alone and under ORDER BY + LIMIT): the operators that read
+/// triples, and the modifiers that run on their rows.
 fn probe_queries() -> Vec<String> {
     let app = ns::APP_NS;
     let grdf_ns = ns::NS;
@@ -462,6 +464,13 @@ fn probe_queries() -> Vec<String> {
         ),
         format!(
             "PREFIX g: <{grdf_ns}>\nSELECT ?s ?w WHERE {{ ?g g:asWKT ?w . ?s g:hasGeometry ?g }}"
+        ),
+        format!(
+            "PREFIX app: <{app}>\nSELECT DISTINCT ?s WHERE {{ ?s a ?t . ?s app:hasChemCode ?c }}"
+        ),
+        format!(
+            "PREFIX g: <{grdf_ns}>\nSELECT DISTINCT ?s WHERE {{ ?s g:hasGeometry ?g . ?g ?p ?o }} \
+             ORDER BY DESC(?s) LIMIT 2"
         ),
     ]
 }
