@@ -1,12 +1,14 @@
 //! Engine comparison for the materialization fixpoint: naive reference vs
-//! semi-naive vs parallel semi-naive, over the E1 GRDF ontology and the
-//! E6 incident store (ontology + incident data) at several scales.
+//! semi-naive, over the E1 GRDF ontology and the E6 incident store
+//! (ontology + incident data) at several scales, plus incremental
+//! retraction against the rebuild it replaces.
 //!
 //! Unlike the criterion-style benches this is a hand-rolled harness so it
 //! can emit a machine-readable snapshot (`--json <path>`, the format of
 //! the checked-in `BENCH_reasoner.json`) and enforce engine invariants as
 //! hard assertions: the semi-naive engine must never take more passes
-//! than the naive engine and every arm must infer the same triple count.
+//! than the naive engine, every arm must infer the same triple count, and
+//! the `retract` arm must reach the same graph as a full rebuild.
 //! `--quick` trims the scaling series for CI smoke runs; `--scale
 //! streams,sites[,detail]` appends one extra fast-arm scenario at an
 //! arbitrary point (e.g. `--scale 1000,1000,7` for the ~400 K-triple E6
@@ -16,13 +18,19 @@ use std::time::Instant;
 
 use grdf_bench::{incident_graph_scaled, incident_store, incident_store_scaled};
 use grdf_core::ontology::grdf_ontology;
-use grdf_owl::reasoner::{Reasoner, ReasonerStats, Strategy};
+use grdf_owl::reasoner::{Edit, Maintenance, Reasoner, ReasonerStats, Strategy};
 use grdf_rdf::graph::Graph;
+use grdf_rdf::term::{Term, Triple};
+use grdf_rdf::vocab::{grdf::app, rdf};
+use grdf_runtime::Deadline;
 
 struct ArmResult {
     name: &'static str,
     millis: f64,
     stats: ReasonerStats,
+    /// The `retract` arm only: triples retracted, and the best time of
+    /// the rebuild it replaces (clone of the edited base + full fixpoint).
+    retract: Option<(usize, f64)>,
 }
 
 struct ScenarioResult {
@@ -40,21 +48,97 @@ fn semi_naive() -> Reasoner {
 }
 
 fn arms() -> Vec<(&'static str, Reasoner)> {
-    vec![
-        ("naive", Reasoner::naive()),
-        ("semi_naive", semi_naive()),
-        ("parallel4", Reasoner::parallel(4)),
-    ]
+    vec![("naive", Reasoner::naive()), ("semi_naive", semi_naive())]
 }
 
 /// Arms for the large scaling points, where the O(n²)-ish naive
 /// reference would dominate the run by minutes without adding signal:
 /// semi-naive becomes the reference arm.
 fn fast_arms() -> Vec<(&'static str, Reasoner)> {
-    vec![
-        ("semi_naive", semi_naive()),
-        ("parallel4", Reasoner::parallel(4)),
-    ]
+    vec![("semi_naive", semi_naive())]
+}
+
+/// Retract `removed` from `fixpoint` (the materialization of `base`)
+/// through [`Reasoner::maintain`].
+fn maintain(base: &Graph, fixpoint: &Graph, removed: &[Triple]) -> (Graph, Maintenance, f64) {
+    let mut edited = base.clone();
+    for t in removed {
+        edited.remove(t);
+    }
+    let asserted = |s: &Term, p: &Term, o: &Term| edited.has(s, p, o);
+    let mut g = fixpoint.clone();
+    let edit = Edit {
+        removed,
+        since: g.generation(),
+        asserted: &asserted,
+    };
+    let start = Instant::now();
+    let outcome = semi_naive()
+        .maintain(&mut g, &edit, &Deadline::never())
+        .expect("never-expiring deadline");
+    (g, outcome, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// A few seeded asserted instance triples that each retract entailments
+/// incrementally: two `app:flowsInto` edges (a transitive property) and
+/// two instance types (under subclass chains), picked at a fixed stride.
+fn retractions(base: &Graph, fixpoint: &Graph) -> Vec<Triple> {
+    let flows = base.match_pattern(None, Some(&Term::iri(&app("flowsInto"))), None);
+    let mut types = base.match_pattern(None, Some(&Term::iri(rdf::TYPE)), None);
+    types.retain(|t| t.subject.as_iri().is_some_and(|i| i.starts_with(&app(""))));
+    let mut picked = Vec::new();
+    for candidates in [flows, types] {
+        let stride = (candidates.len() / 7).max(1);
+        let found = candidates
+            .into_iter()
+            .step_by(stride)
+            .filter(|t| {
+                matches!(
+                    maintain(base, fixpoint, std::slice::from_ref(t)).1,
+                    Maintenance::Maintained { ref retracted, .. } if retracted.len() > 1
+                )
+            })
+            .take(2);
+        picked.extend(found);
+    }
+    picked
+}
+
+/// The `retract` arm: best-of-`runs` [`Reasoner::maintain`] against the
+/// rebuild it replaces, with the graphs hard-asserted equal.
+fn retract_arm(name: &str, base: &Graph, fixpoint: &Graph, runs: usize) -> Option<ArmResult> {
+    let removed = retractions(base, fixpoint);
+    if removed.is_empty() {
+        return None;
+    }
+    let mut edited = base.clone();
+    for t in &removed {
+        edited.remove(t);
+    }
+    let (mut best, mut best_rebuild) = (f64::INFINITY, f64::INFINITY);
+    let mut result = None;
+    for _ in 0..runs.max(1) {
+        let (g, outcome, millis) = maintain(base, fixpoint, &removed);
+        let start = Instant::now();
+        let mut rebuilt = edited.clone();
+        semi_naive().materialize(&mut rebuilt);
+        best_rebuild = best_rebuild.min(start.elapsed().as_secs_f64() * 1e3);
+        best = best.min(millis);
+        assert_eq!(
+            g, rebuilt,
+            "{name}/retract: differs from the rebuilt fixpoint"
+        );
+        result = Some(outcome);
+    }
+    let Some(Maintenance::Maintained { stats, retracted }) = result else {
+        panic!("{name}/retract: the seeded retractions need no rebuild");
+    };
+    Some(ArmResult {
+        name: "retract",
+        millis: best,
+        stats,
+        retract: Some((retracted.len(), best_rebuild)),
+    })
 }
 
 /// Run every arm over `input`; the first arm is the reference: every
@@ -94,13 +178,13 @@ fn run_scenario(
     }
 
     let mut results = Vec::new();
-    let mut reference: Option<Graph> = None;
+    let mut fixpoint: Option<Graph> = None;
     let mut output_triples = 0;
     for (arm_name, _, stats, g, millis) in measured {
-        match &reference {
+        match &fixpoint {
             None => {
                 output_triples = g.len();
-                reference = Some(g);
+                fixpoint = Some(g);
             }
             Some(r) => assert_eq!(
                 *r, g,
@@ -111,6 +195,7 @@ fn run_scenario(
             name: arm_name,
             millis,
             stats,
+            retract: None,
         });
     }
     let reference = &results[0];
@@ -129,6 +214,8 @@ fn run_scenario(
             reference.stats.passes
         );
     }
+    let fixpoint = fixpoint.expect("at least one arm");
+    results.extend(retract_arm(name, input, &fixpoint, runs));
     ScenarioResult {
         name: name.to_string(),
         input_triples: input.len(),
@@ -160,9 +247,16 @@ fn to_json(mode: &str, scenarios: &[ScenarioResult]) -> String {
         ));
         out.push_str("      \"arms\": [\n");
         for (j, arm) in s.arms.iter().enumerate() {
+            let retract = arm.retract.map_or(String::new(), |(n, rebuild)| {
+                format!(
+                    ", \"retracted\": {n}, \"rebuild_millis\": {rebuild:.3}, \
+                     \"speedup_vs_rebuild\": {:.2}",
+                    rebuild / arm.millis.max(1e-9)
+                )
+            });
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"millis\": {:.3}, \"passes\": {}, \
-                 \"inferred\": {}, \"speedup_vs_ref\": {:.2}}}{}\n",
+                 \"inferred\": {}, \"speedup_vs_ref\": {:.2}{retract}}}{}\n",
                 arm.name,
                 arm.millis,
                 arm.stats.passes,
@@ -294,17 +388,12 @@ fn main() {
                 s.arms[0].name,
             );
         }
-        // Satellite invariant (advisory here, hard in the recorded JSON):
-        // adaptive sharding should keep parallel4 from losing to
-        // semi_naive at any scale. Shared CI runners are too noisy for a
-        // hard timing gate, so surface it loudly instead of asserting.
-        let semi = s.arms.iter().find(|a| a.name == "semi_naive");
-        let par = s.arms.iter().find(|a| a.name == "parallel4");
-        if let (Some(semi), Some(par)) = (semi, par) {
-            if par.millis > semi.millis {
+        if let Some(arm) = s.arms.iter().find(|a| a.name == "retract") {
+            if let Some((retracted, rebuild)) = arm.retract {
                 println!(
-                    "  WARNING: parallel4 ({:.3} ms) slower than semi_naive ({:.3} ms)",
-                    par.millis, semi.millis
+                    "  retract: {retracted} triples retracted in {:.3} ms vs {rebuild:.3} ms rebuild ({:.1}x)",
+                    arm.millis,
+                    rebuild / arm.millis.max(1e-9)
                 );
             }
         }

@@ -101,26 +101,27 @@ impl From<(f64, f64, f64)> for Coord {
 /// `dim`. The GML 2 `coordinates` convention — `x,y x,y` — is also accepted.
 pub fn parse_coord_list(text: &str, dim: usize) -> Option<Vec<Coord>> {
     assert!(dim == 2 || dim == 3, "dim must be 2 or 3");
-    let nums: Vec<f64> = text
-        .split([' ', ',', '\n', '\t', '\r'])
-        .filter(|s| !s.is_empty())
-        .map(str::parse::<f64>)
-        .collect::<Result<_, _>>()
-        .ok()?;
-    if nums.is_empty() || !nums.len().is_multiple_of(dim) {
-        return None;
+    // One pass: numbers fold straight into tuples, with no intermediate
+    // list of numbers.
+    let mut coords = Vec::new();
+    let mut tuple = [0.0; 3];
+    let mut k = 0;
+    for token in text.split([' ', ',', '\n', '\t', '\r']) {
+        if token.is_empty() {
+            continue;
+        }
+        tuple[k] = token.parse().ok()?;
+        k += 1;
+        if k == dim {
+            coords.push(if dim == 2 {
+                Coord::xy(tuple[0], tuple[1])
+            } else {
+                Coord::xyz(tuple[0], tuple[1], tuple[2])
+            });
+            k = 0;
+        }
     }
-    Some(
-        nums.chunks(dim)
-            .map(|c| {
-                if dim == 2 {
-                    Coord::xy(c[0], c[1])
-                } else {
-                    Coord::xyz(c[0], c[1], c[2])
-                }
-            })
-            .collect(),
-    )
+    (k == 0 && !coords.is_empty()).then_some(coords)
 }
 
 /// Format a coordinate list in GML 2 `coordinates` convention (`x,y x,y`),
@@ -201,6 +202,37 @@ mod tests {
         assert!(parse_coord_list("1 2 3", 2).is_none());
         assert!(parse_coord_list("", 2).is_none());
         assert!(parse_coord_list("a b", 2).is_none());
+    }
+
+    #[test]
+    fn parse_accepts_and_refuses_exactly_the_gml_lists() {
+        let xy = |x, y| Coord::xy(x, y);
+        let xyz = |x, y, z| Coord::xyz(x, y, z);
+        // GML 3 posList and GML 2 coordinates, any separator run.
+        assert_eq!(
+            parse_coord_list(" 1\t2\n3 4\r\n", 2),
+            Some(vec![xy(1.0, 2.0), xy(3.0, 4.0)])
+        );
+        assert_eq!(
+            parse_coord_list("1,2 3,4", 2),
+            Some(vec![xy(1.0, 2.0), xy(3.0, 4.0)])
+        );
+        assert_eq!(
+            parse_coord_list("1,2,3 4,5,6", 3),
+            Some(vec![xyz(1.0, 2.0, 3.0), xyz(4.0, 5.0, 6.0)])
+        );
+        assert_eq!(parse_coord_list("-1.5e2 0", 2), Some(vec![xy(-150.0, 0.0)]));
+        // Empty input, or nothing but separators.
+        assert_eq!(parse_coord_list("", 3), None);
+        assert_eq!(parse_coord_list(" ,\n ", 2), None);
+        // A count that is not a multiple of `dim`.
+        assert_eq!(parse_coord_list("1", 2), None);
+        assert_eq!(parse_coord_list("1 2 3 4", 3), None);
+        assert_eq!(parse_coord_list("1 2 3 4 5", 2), None);
+        // Any bad number, wherever it is.
+        assert_eq!(parse_coord_list("1 2 x 4", 2), None);
+        assert_eq!(parse_coord_list("1 2 3 4 5 6z", 3), None);
+        assert_eq!(parse_coord_list("1;2", 2), None);
     }
 
     #[test]

@@ -15,15 +15,14 @@
 //!   whole graph; each later pass joins only *delta × full*, where the
 //!   delta is exactly the triples the previous pass derived. The schema
 //!   index is maintained incrementally by absorbing each delta instead of
-//!   being re-collected, and the delta can be sharded across a scoped
-//!   worker pool ([`Reasoner::shards`]) with a deterministic shard-order
-//!   merge, so the result is the same triple set as the sequential and
-//!   naive engines.
+//!   being re-collected, so the result is the same triple set as the
+//!   naive engine's.
 //!
-//! The semi-naive engine also powers [`Reasoner::materialize_delta`]:
-//! given a generation marker from [`Graph::generation`], it derives the
-//! consequences of just the triples inserted since — the primitive behind
-//! incremental G-SACS updates.
+//! The semi-naive engine also powers [`Reasoner::maintain`], which brings
+//! an already-materialized graph up to date with one batch of base edits:
+//! delete-and-rederive over the same delta rules retracts what the removed
+//! triples supported, and the semi-naive loop derives the consequences of
+//! the inserts — the primitive behind incremental G-SACS updates.
 //!
 //! Rule coverage:
 //!
@@ -38,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 use grdf_rdf::graph::{Graph, TermId};
 use grdf_rdf::term::{Term, Triple};
 use grdf_rdf::vocab::{owl, rdf, rdfs};
-use grdf_runtime::{Deadline, DeadlineExceeded, ShardPool};
+use grdf_runtime::{Deadline, DeadlineExceeded};
 
 /// Statistics from one materialization run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -80,14 +79,6 @@ pub struct Reasoner {
     pub max_passes: usize,
     /// Evaluation strategy.
     pub strategy: Strategy,
-    /// Worker width for the semi-naive delta pass (1 = sequential). The
-    /// delta is split into contiguous shards and merged in shard order, so
-    /// any width yields the same triple set.
-    pub shards: usize,
-    /// Adaptive-sharding fallback: passes whose delta is smaller than
-    /// this run inline even when `shards > 1` (see
-    /// [`PARALLEL_THRESHOLD`], the default).
-    pub parallel_threshold: usize,
 }
 
 impl Default for Reasoner {
@@ -98,38 +89,43 @@ impl Default for Reasoner {
             restrictions: true,
             max_passes: 64,
             strategy: Strategy::SemiNaive,
-            shards: 1,
-            parallel_threshold: PARALLEL_THRESHOLD,
         }
     }
 }
 
-/// Below this many delta triples a pass runs inline even when
-/// [`Reasoner::shards`] asks for parallelism — thread setup plus the
-/// per-shard predicate sort would cost more than the pass itself. The
-/// predicate-grouped columnar pass pushed the break-even point far past
-/// the old per-triple dispatch's: on the BTree core, sharding the
-/// 1000×1000 E6 seed pass won 3× (78 ms vs 247 ms); on columnar runs the
-/// same pass is already ~20 ms serial and a 4-way shard measures 0.94–
-/// 1.02× of it — pure noise around a tie, with the setup/merge overhead
-/// no longer amortized. The break-even now sits above every recorded
-/// scenario (largest seed delta ~430 K), so the default threshold parks
-/// just past that: a parallel reasoner runs the identical inline pass on
-/// all of them instead of gambling a few percent on thread overhead.
-/// [`Reasoner::parallel_threshold`] overrides it (tests force tiny
-/// thresholds to exercise the sharded path).
-const PARALLEL_THRESHOLD: usize = 512 * 1024;
-
-/// How often each shard polls the request deadline.
+/// How often a delta pass polls the request deadline.
 const DEADLINE_POLL_STRIDE: usize = 256;
 
-/// How the semi-naive loop is seeded.
-enum Seed {
-    /// Pass 1 consumes the whole graph (full materialization).
-    Full,
-    /// Pass 1 consumes the triples inserted since this generation marker
-    /// (incremental update of an already-materialized graph).
-    Since(u64),
+/// One batch's change to the asserted base of a materialized graph — the
+/// input of [`Reasoner::maintain`].
+pub struct Edit<'a> {
+    /// Asserted triples the batch removed from the base.
+    pub removed: &'a [Triple],
+    /// The graph's [`Graph::generation`] before the batch's inserts were
+    /// added to it.
+    pub since: u64,
+    /// Whether the edited base still asserts `(s, p, o)`. An asserted
+    /// triple is never retracted, whatever else it was derived from.
+    pub asserted: &'a dyn Fn(&Term, &Term, &Term) -> bool,
+}
+
+/// How [`Reasoner::maintain`] left the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Maintenance {
+    /// The graph holds the materialization of the edited base.
+    Maintained {
+        /// Passes over the over-deletion waves, the re-derivation seed
+        /// and the forward fixpoint; `inferred` counts every triple the
+        /// call added, re-derived ones included.
+        stats: ReasonerStats,
+        /// The triples the graph lost, as ids of the graph.
+        retracted: Vec<(TermId, TermId, TermId)>,
+    },
+    /// The removals reach a rule that only a full fixpoint evaluates: a
+    /// schema triple, an `owl:sameAs` clique, a boolean class or a
+    /// restriction declaration. The graph holds the batch's inserts and is
+    /// otherwise unchanged; rematerialize it from the edited base.
+    Rebuild,
 }
 
 impl Reasoner {
@@ -151,14 +147,6 @@ impl Reasoner {
         }
     }
 
-    /// Semi-naive engine with `shards` parallel delta workers.
-    pub fn parallel(shards: usize) -> Reasoner {
-        Reasoner {
-            shards: shards.max(1),
-            ..Reasoner::default()
-        }
-    }
-
     /// Materialize all entailments into `graph`; returns statistics.
     pub fn materialize(&self, graph: &mut Graph) -> ReasonerStats {
         self.materialize_with_deadline(graph, &Deadline::never())
@@ -167,7 +155,7 @@ impl Reasoner {
 
     /// Materialize under a cooperative deadline, polled once per fixpoint
     /// pass (and once per [`DEADLINE_POLL_STRIDE`] delta triples inside
-    /// each shard). On expiry the graph is left with whatever entailments
+    /// each pass). On expiry the graph is left with whatever entailments
     /// the completed passes added (each pass only adds sound inferences,
     /// so the graph stays consistent — merely under-materialized) and the
     /// caller decides how to degrade.
@@ -178,23 +166,224 @@ impl Reasoner {
     ) -> Result<ReasonerStats, DeadlineExceeded> {
         match self.strategy {
             Strategy::Naive => self.materialize_naive(graph, deadline),
-            Strategy::SemiNaive => self.run_semi_naive(graph, &Seed::Full, deadline),
+            Strategy::SemiNaive => {
+                // The whole fixpoint runs in interned-id space: rule joins
+                // dispatch on pre-resolved vocabulary ids, and proposals
+                // are id tuples merged without re-interning. Terms are
+                // only touched by the clique-global rules. The seed comes
+                // straight off the POS columns: the bulk first pass
+                // arrives predicate-grouped, so the rule pass dispatches
+                // per group without re-sorting ~the whole graph.
+                let voc = Voc::resolve(graph);
+                let mut schema = IdSchema::default();
+                let delta = graph.ids_by_predicate();
+                let triggers = schema.absorb(graph, &voc, &delta);
+                let maps = IdRestrictionMaps::build(&schema);
+                let mut stats = ReasonerStats::default();
+                self.fixpoint(
+                    graph,
+                    &voc,
+                    &mut schema,
+                    maps,
+                    (delta, triggers),
+                    &mut stats,
+                    deadline,
+                )?;
+                emit_totals(&stats);
+                Ok(stats)
+            }
         }
     }
 
     /// Derive the consequences of just the triples inserted since
     /// `from_generation` (a marker from [`Graph::generation`] taken when
-    /// the graph was last fully materialized). Always uses the semi-naive
-    /// engine — incremental maintenance *is* delta evaluation with a
-    /// smaller seed. Sound and complete for additions only: retracting a
-    /// triple requires a full re-materialization.
+    /// the graph was last fully materialized): [`Reasoner::maintain`] with
+    /// nothing removed.
     pub fn materialize_delta(
         &self,
         graph: &mut Graph,
         from_generation: u64,
         deadline: &Deadline,
     ) -> Result<ReasonerStats, DeadlineExceeded> {
-        self.run_semi_naive(graph, &Seed::Since(from_generation), deadline)
+        let edit = Edit {
+            removed: &[],
+            since: from_generation,
+            asserted: &|_, _, _| true,
+        };
+        match self.maintain(graph, &edit, deadline)? {
+            Maintenance::Maintained { stats, .. } => Ok(stats),
+            Maintenance::Rebuild => unreachable!("an edit that removes nothing never rebuilds"),
+        }
+    }
+
+    /// Bring a graph that was materialized before the batch `edit`
+    /// describes up to date with it. The batch's inserts must already be
+    /// in the graph (added after `edit.since`); its removals must not be
+    /// (the graph still holds them, as entailments now at best).
+    ///
+    /// Delete-and-rederive (Gupta, Mumick & Subrahmanian, SIGMOD 1993)
+    /// over the semi-naive delta rules, with one schema index for the
+    /// batch, built from the whole graph:
+    ///
+    /// 1. **over-delete** — delta passes in waves, from the removed
+    ///    triples, against the graph before removal, collect every
+    ///    entailment derived through a removed one (never a triple the
+    ///    base still asserts);
+    /// 2. **remove** that set;
+    /// 3. **re-derive** the removed triples that still have a one-step
+    ///    derivation: one delta pass over the remaining triples that
+    ///    touch their subjects, keeping the proposals that were removed;
+    /// 4. **forward-chain** from the re-derived triples and the inserts
+    ///    with the semi-naive loop.
+    ///
+    /// Always uses the semi-naive engine. Answers
+    /// [`Maintenance::Rebuild`], before touching the graph, when an
+    /// over-deleted triple is schema or feeds a clique-global rule (see
+    /// [`Maintenance::Rebuild`]): those rules re-evaluate whole cliques,
+    /// so no delta pass can say what they stop deriving. On deadline
+    /// expiry the graph may be half-maintained; rematerialize it.
+    pub fn maintain(
+        &self,
+        graph: &mut Graph,
+        edit: &Edit<'_>,
+        deadline: &Deadline,
+    ) -> Result<Maintenance, DeadlineExceeded> {
+        let mut stats = ReasonerStats::default();
+        let mut removed: Vec<IdTriple> = edit
+            .removed
+            .iter()
+            .filter_map(|t| graph.ids_of(t))
+            .filter(|&(s, p, o)| graph.has_ids(s, p, o))
+            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        removed.retain(|&t| !asserted_ids(graph, edit, t));
+        if removed.is_empty() && graph.delta_ids_since(edit.since).is_empty() {
+            return Ok(Maintenance::Maintained {
+                stats,
+                retracted: Vec::new(),
+            });
+        }
+        // The schema must cover the *whole* graph: rules consult
+        // declarations made long before the batch.
+        let voc = Voc::resolve(graph);
+        let mut schema = IdSchema::default();
+        let all = graph.live_ids();
+        schema.absorb(graph, &voc, &all);
+        let maps = IdRestrictionMaps::build(&schema);
+        let mut retracted = Vec::new();
+        if !removed.is_empty() {
+            let span = grdf_obs::span("reasoner.retract").tag("removed", removed.len());
+            let Some(doomed) = self.over_delete(
+                graph, &voc, &schema, &maps, removed, edit, &mut stats, deadline,
+            )?
+            else {
+                drop(span.tag("rebuild", true));
+                return Ok(Maintenance::Rebuild);
+            };
+            retracted = doomed.iter().copied().collect();
+            graph.remove_ids(&retracted);
+            let back = self.rederive(graph, &voc, &schema, &maps, &doomed, &mut stats, deadline)?;
+            drop(
+                span.tag("overdeleted", doomed.len())
+                    .tag("rederived", back.len()),
+            );
+            stats.inferred += graph.extend_ids(back);
+        }
+        // Forward-chain from everything added since the marker: the
+        // inserts and the re-derived triples. Only this delta decides
+        // which clique-global rules need to run.
+        let delta = graph.delta_ids_since(edit.since);
+        if !delta.is_empty() {
+            let triggers = schema.triggers_for(graph, &voc, &delta);
+            self.fixpoint(
+                graph,
+                &voc,
+                &mut schema,
+                maps,
+                (delta, triggers),
+                &mut stats,
+                deadline,
+            )?;
+        }
+        retracted.retain(|&(s, p, o)| !graph.has_ids(s, p, o));
+        retracted.sort_unstable();
+        emit_totals(&stats);
+        Ok(Maintenance::Maintained { stats, retracted })
+    }
+
+    /// DRed phase 1: the removed triples plus every entailment derived
+    /// through one of them, or `None` when that set reaches a rule the
+    /// delta passes cannot retract through (see [`Maintenance::Rebuild`]).
+    #[allow(clippy::too_many_arguments)]
+    fn over_delete(
+        &self,
+        g: &Graph,
+        voc: &Voc,
+        s: &IdSchema,
+        maps: &IdRestrictionMaps,
+        removed: Vec<IdTriple>,
+        edit: &Edit<'_>,
+        stats: &mut ReasonerStats,
+        deadline: &Deadline,
+    ) -> Result<Option<HashSet<IdTriple>>, DeadlineExceeded> {
+        let mut doomed: HashSet<IdTriple> = removed.iter().copied().collect();
+        let mut wave = removed;
+        while !wave.is_empty() {
+            deadline.check()?;
+            if wave.iter().any(|&t| voc.structural(t)) || s.triggers_for(g, voc, &wave).any() {
+                return Ok(None);
+            }
+            stats.passes += 1;
+            stats.delta_sizes.push(wave.len());
+            let (proposals, _) = self.delta_pass(g, voc, s, maps, &wave, deadline)?;
+            wave = Vec::new();
+            for t in proposals {
+                if !doomed.contains(&t) && g.has_ids(t.0, t.1, t.2) && !asserted_ids(g, edit, t) {
+                    doomed.insert(t);
+                    wave.push(t);
+                }
+            }
+        }
+        Ok(Some(doomed))
+    }
+
+    /// DRed phase 3: the over-deleted triples that still have a one-step
+    /// derivation from the remaining graph. Every rule has a premise that
+    /// shares its subject or object with the conclusion's subject, and
+    /// the delta pass fires the rule from that premise, so one pass over
+    /// the triples touching the over-deleted subjects finds them all.
+    #[allow(clippy::too_many_arguments)]
+    fn rederive(
+        &self,
+        g: &Graph,
+        voc: &Voc,
+        s: &IdSchema,
+        maps: &IdRestrictionMaps,
+        doomed: &HashSet<IdTriple>,
+        stats: &mut ReasonerStats,
+        deadline: &Deadline,
+    ) -> Result<Vec<IdTriple>, DeadlineExceeded> {
+        let mut nodes: Vec<TermId> = doomed.iter().map(|t| t.0).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut seed: Vec<IdTriple> = Vec::new();
+        for &n in &nodes {
+            g.for_each_match_ids(Some(n), None, None, |s, p, o| seed.push((s, p, o)));
+            g.for_each_match_ids(None, None, Some(n), |s, p, o| seed.push((s, p, o)));
+        }
+        seed.sort_unstable();
+        seed.dedup();
+        stats.passes += 1;
+        stats.delta_sizes.push(seed.len());
+        let (proposals, _) = self.delta_pass(g, voc, s, maps, &seed, deadline)?;
+        let mut back: Vec<IdTriple> = proposals
+            .into_iter()
+            .filter(|t| doomed.contains(t))
+            .collect();
+        back.sort_unstable();
+        back.dedup();
+        Ok(back)
     }
 
     // ------------------------------------------------------------------
@@ -221,8 +410,7 @@ impl Reasoner {
             drop(span.tag("inferred", added));
             stats.inferred += added;
             if added == 0 || stats.passes >= self.max_passes {
-                grdf_obs::add("reasoner.passes", stats.passes as u64);
-                grdf_obs::add("reasoner.inferred", stats.inferred as u64);
+                emit_totals(&stats);
                 return Ok(stats);
             }
         }
@@ -286,77 +474,34 @@ impl Reasoner {
     // Semi-naive engine
     // ------------------------------------------------------------------
 
-    fn run_semi_naive(
+    /// The semi-naive loop from a seeded delta: each pass joins the delta
+    /// against the full graph, runs the clique-global rules the delta's
+    /// triggers ask for, and absorbs what it derived as the next delta.
+    /// `maps` must be built from `schema`.
+    #[allow(clippy::too_many_arguments)]
+    fn fixpoint(
         &self,
         graph: &mut Graph,
-        seed: &Seed,
+        voc: &Voc,
+        schema: &mut IdSchema,
+        mut maps: IdRestrictionMaps,
+        (mut delta, mut triggers): (Vec<IdTriple>, Triggers),
+        stats: &mut ReasonerStats,
         deadline: &Deadline,
-    ) -> Result<ReasonerStats, DeadlineExceeded> {
-        let mut stats = ReasonerStats::default();
-        // The whole fixpoint runs in interned-id space: the seed is a copy
-        // of the graph's id log, rule joins dispatch on pre-resolved
-        // vocabulary ids, and proposals are id tuples merged without
-        // re-interning. Terms are only touched by the clique-global rules.
-        let voc = Voc::resolve(graph);
-        let mut schema = IdSchema::default();
-        let (mut delta, mut triggers) = match seed {
-            Seed::Full => {
-                // Seed straight off the POS columns: the bulk first pass
-                // arrives predicate-grouped, so the sharded rule pass
-                // dispatches per group without re-sorting ~the whole
-                // graph. (Insertion order is irrelevant here — only
-                // incremental seeds are log slices.)
-                let delta = graph.ids_by_predicate();
-                let triggers = schema.absorb(graph, &voc, &delta);
-                (delta, triggers)
-            }
-            Seed::Since(generation) => {
-                let delta = graph.delta_ids_since(*generation);
-                if delta.is_empty() {
-                    return Ok(stats);
-                }
-                // The schema must cover the *whole* graph (rules consult
-                // declarations made long before the delta), but only the
-                // delta decides which clique-global rules need to run.
-                let all = graph.delta_ids_since(0);
-                schema.absorb(graph, &voc, &all);
-                let triggers = schema.triggers_for(graph, &voc, &delta);
-                (delta, triggers)
-            }
-        };
-        let pool = ShardPool::new(self.shards);
-        grdf_obs::gauge_set("reasoner.shards", pool.workers() as i64);
-        // Restriction lookup tables depend only on the schema's
-        // restriction list, which changes exactly when an absorb reports
-        // dirty restrictions — rebuild them on that signal instead of
-        // every pass (the build is a fixed per-pass cost that dominates
-        // at small fixpoints).
-        let mut maps = IdRestrictionMaps::build(&schema);
+    ) -> Result<(), DeadlineExceeded> {
+        let mut pass = 0;
         loop {
             deadline.check()?;
+            pass += 1;
             stats.passes += 1;
             stats.delta_sizes.push(delta.len());
             grdf_obs::observe("reasoner.delta.size", delta.len() as u64);
             let span = grdf_obs::span("reasoner.pass")
                 .tag("pass", stats.passes)
                 .tag("delta", delta.len());
-            // Delta × full joins, sharded; merged in shard order so the
-            // proposal sequence is identical at any worker width.
-            let g: &Graph = graph;
-            let sharded: Vec<(Vec<IdTriple>, RuleCounts)> =
-                if pool.workers() > 1 && delta.len() >= self.parallel_threshold {
-                    pool.map_shards(&delta, |_, chunk| {
-                        self.delta_pass(g, &voc, &schema, &maps, chunk, deadline)
-                    })?
-                } else {
-                    vec![self.delta_pass(g, &voc, &schema, &maps, &delta, deadline)?]
-                };
-            let mut proposals: Vec<IdTriple> = Vec::new();
-            let mut counts = RuleCounts::default();
-            for (chunk_out, chunk_counts) in sharded {
-                proposals.extend(chunk_out);
-                counts.merge(&chunk_counts);
-            }
+            // Delta × full joins.
+            let (mut proposals, mut counts) =
+                self.delta_pass(graph, voc, schema, &maps, &delta, deadline)?;
 
             // Clique-global rules can't be expressed as a join against one
             // delta triple; they run sequentially in term space, gated by
@@ -366,7 +511,7 @@ impl Reasoner {
             let mut global_proposals: Vec<Triple> = Vec::new();
             if self.owl && triggers.same_as {
                 let before = proposals.len();
-                rule_same_as_ids(graph, &voc, &mut proposals);
+                rule_same_as_ids(graph, voc, &mut proposals);
                 counts.same_as += (proposals.len() - before) as u64;
             }
             if self.restrictions && !triggers.dirty_restrictions.is_empty() {
@@ -390,26 +535,30 @@ impl Reasoner {
             }
             drop(span.tag("inferred", added));
             stats.inferred += added;
-            if added == 0 || stats.passes >= self.max_passes {
-                grdf_obs::add("reasoner.passes", stats.passes as u64);
-                grdf_obs::add("reasoner.inferred", stats.inferred as u64);
-                return Ok(stats);
+            if added == 0 || pass >= self.max_passes {
+                return Ok(());
             }
             delta = graph.delta_ids_since(mark);
-            triggers = schema.absorb(graph, &voc, &delta);
+            triggers = schema.absorb(graph, voc, &delta);
+            // Restriction lookup tables depend only on the schema's
+            // restriction list, which changes exactly when an absorb
+            // reports dirty restrictions — rebuild them on that signal
+            // instead of every pass (the build is a fixed per-pass cost
+            // that dominates at small fixpoints).
             if !triggers.dirty_restrictions.is_empty() {
-                maps = IdRestrictionMaps::build(&schema);
+                maps = IdRestrictionMaps::build(schema);
             }
         }
     }
 
-    /// Apply every delta-aware rule variant to one shard of the delta.
-    /// Each delta triple is already *in* the graph, so joining it against
-    /// the full graph also covers delta × delta pairs. Runs entirely in
-    /// interned-id space.
+    /// Apply every delta-aware rule variant to `chunk`. Each delta triple
+    /// is already *in* the graph, so joining it against the full graph
+    /// also covers delta × delta pairs; every rule instance with a premise
+    /// in `chunk` proposes its conclusion. Runs entirely in interned-id
+    /// space.
     ///
-    /// The shard is processed as predicate-grouped column batches: the
-    /// chunk is sorted by predicate once, then each group pays for
+    /// The chunk is processed as predicate-grouped column batches: it is
+    /// sorted by predicate once, then each group pays for
     /// vocabulary comparisons and the schema lookup exactly once, and a
     /// group whose predicate carries no rule at all — the common case on
     /// the bulk first pass, where most triples are plain data — is
@@ -425,9 +574,8 @@ impl Reasoner {
     ) -> Result<(Vec<IdTriple>, RuleCounts), DeadlineExceeded> {
         let mut out: Vec<IdTriple> = Vec::new();
         let mut c = RuleCounts::default();
-        // Bulk seeds come off the POS index already grouped (and each
-        // shard of a grouped delta is itself grouped) — detect that with
-        // one linear scan and skip the copy + sort entirely.
+        // Bulk seeds come off the POS index already grouped — detect that
+        // with one linear scan and skip the copy + sort entirely.
         let owned: Vec<IdTriple>;
         let sorted: &[IdTriple] = if chunk.windows(2).all(|w| w[0].1 <= w[1].1) {
             chunk
@@ -460,7 +608,7 @@ impl Reasoner {
         Ok((out, c))
     }
 
-    /// One predicate group of a delta shard. `tp` is the group's shared
+    /// One predicate group of a delta pass. `tp` is the group's shared
     /// predicate; `group` are its `(s, tp, o)` triples.
     #[allow(clippy::cognitive_complexity, clippy::too_many_arguments)]
     fn delta_group(
@@ -794,29 +942,6 @@ impl RuleCounts {
         ]
     }
 
-    fn merge(&mut self, other: &RuleCounts) {
-        for (mine, theirs) in [
-            (&mut self.subclass_transitivity, other.subclass_transitivity),
-            (&mut self.type_inheritance, other.type_inheritance),
-            (
-                &mut self.subproperty_transitivity,
-                other.subproperty_transitivity,
-            ),
-            (&mut self.property_inheritance, other.property_inheritance),
-            (&mut self.domain_range, other.domain_range),
-            (&mut self.equivalences, other.equivalences),
-            (&mut self.inverse, other.inverse),
-            (&mut self.symmetric, other.symmetric),
-            (&mut self.transitive, other.transitive),
-            (&mut self.functional, other.functional),
-            (&mut self.same_as, other.same_as),
-            (&mut self.restrictions, other.restrictions),
-            (&mut self.boolean_classes, other.boolean_classes),
-        ] {
-            *mine += theirs;
-        }
-    }
-
     fn emit(&self) {
         for (name, v) in self.entries() {
             if v > 0 {
@@ -887,6 +1012,24 @@ struct Triggers {
     /// Restrictions whose declarations changed in this delta; each gets a
     /// full (per-restriction) re-evaluation next pass.
     dirty_restrictions: Vec<usize>,
+}
+
+impl Triggers {
+    fn any(&self) -> bool {
+        self.same_as || self.boolean || !self.dirty_restrictions.is_empty()
+    }
+}
+
+/// Add one run's totals to the `reasoner.passes` / `reasoner.inferred`
+/// counters.
+fn emit_totals(stats: &ReasonerStats) {
+    grdf_obs::add("reasoner.passes", stats.passes as u64);
+    grdf_obs::add("reasoner.inferred", stats.inferred as u64);
+}
+
+/// Whether the edited base still asserts the graph triple `t`.
+fn asserted_ids(g: &Graph, edit: &Edit<'_>, (s, p, o): IdTriple) -> bool {
+    (edit.asserted)(g.term_of(s), g.term_of(p), g.term_of(o))
 }
 
 /// Schema triples indexed for fast rule application by the naive engine,
@@ -1072,6 +1215,23 @@ impl Voc {
             || p == self.union_of
             || p == self.first
             || p == self.rest
+    }
+
+    /// Whether a triple is schema the delta rules join against (an
+    /// [`IdSchema`] entry, an equivalence axiom, a `sameAs` link or a
+    /// list cell): retracting through one needs a full fixpoint.
+    fn structural(&self, (_, p, o): IdTriple) -> bool {
+        if p == self.ty {
+            return [
+                self.symmetric,
+                self.transitive,
+                self.functional,
+                self.inverse_functional,
+                self.restriction,
+            ]
+            .contains(&o);
+        }
+        self.schema_relevant(p) || p == self.equiv_class || p == self.equiv_prop
     }
 
     fn resolve(g: &mut Graph) -> Voc {
@@ -2245,7 +2405,7 @@ mod tests {
         assert!(g.has(&iri("urn:b"), &same, &iri("urn:a")));
     }
 
-    // ---- semi-naive / parallel / incremental engine tests ----
+    // ---- semi-naive / incremental engine tests ----
 
     /// A graph exercising every rule group at once.
     fn kitchen_sink() -> Graph {
@@ -2317,42 +2477,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_fixpoint() {
-        // A lowered threshold forces the sharded path to actually run;
-        // the default would fall back to the inline pass at this size.
-        fn big() -> Graph {
-            let mut g = kitchen_sink();
-            for i in 0..9000 {
-                g.add(
-                    iri(&format!("urn:t#n{i}")),
-                    iri("urn:t#touches"),
-                    iri(&format!("urn:t#n{}", i + 1)),
-                );
-                g.add(iri(&format!("urn:t#n{i}")), ty(), iri("urn:t#Lake"));
-            }
-            g
-        }
-        fn sharded(shards: usize) -> Reasoner {
-            Reasoner {
-                parallel_threshold: 1,
-                ..Reasoner::parallel(shards)
-            }
-        }
-        let mut seq = big();
-        let mut par = big();
-        assert!(big().len() >= sharded(4).parallel_threshold);
-        Reasoner::default().materialize(&mut seq);
-        sharded(4).materialize(&mut par);
-        assert_eq!(seq, par, "shard width must not change the fixpoint");
-        let par8 = {
-            let mut g = big();
-            sharded(8).materialize(&mut g);
-            g
-        };
-        assert_eq!(seq, par8);
-    }
-
-    #[test]
     fn materialize_delta_equals_full_rematerialization() {
         // Materialize, snapshot the generation, add facts, then update
         // incrementally — and compare with materializing from scratch.
@@ -2420,5 +2544,125 @@ mod tests {
             g.has(&iri("urn:t#plant"), &ty(), &r),
             "pre-existing instance data must meet the late restriction"
         );
+    }
+
+    /// Retract `removed` from the base of a materialized `base` through
+    /// [`Reasoner::maintain`], and compare with materializing the edited
+    /// base from scratch.
+    fn retract_matches_scratch(base: Graph, removed: &[Triple]) -> Maintenance {
+        let reasoner = Reasoner::default();
+        let mut edited = base.clone();
+        for t in removed {
+            assert!(edited.remove(t), "{t} is asserted");
+        }
+        let mut served = base;
+        reasoner.materialize(&mut served);
+        let since = served.generation();
+        let asserted = |s: &Term, p: &Term, o: &Term| edited.has(s, p, o);
+        let edit = Edit {
+            removed,
+            since,
+            asserted: &asserted,
+        };
+        let outcome = reasoner
+            .maintain(&mut served, &edit, &Deadline::never())
+            .unwrap();
+        if let Maintenance::Maintained { .. } = outcome {
+            let mut scratch = edited.clone();
+            reasoner.materialize(&mut scratch);
+            assert_eq!(served, scratch, "retraction must equal a fresh fixpoint");
+        }
+        outcome
+    }
+
+    #[test]
+    fn retraction_removes_what_only_the_removed_triple_supported() {
+        // Cut the upstreamOf chain s0 → … → s12 between s6 and s7, and
+        // drop the plant's only `stores` edge.
+        let removed = [
+            Triple::new(iri("urn:t#s6"), iri("urn:t#upstreamOf"), iri("urn:t#s7")),
+            Triple::new(iri("urn:t#plant"), iri("urn:t#stores"), iri("urn:t#acid")),
+        ];
+        let Maintenance::Maintained { stats, retracted } =
+            retract_matches_scratch(kitchen_sink(), &removed)
+        else {
+            panic!("instance triples outside cliques and boolean classes retract incrementally");
+        };
+        // Every upstreamOf pair across the cut (7 × 6) goes, and so do the
+        // plant's domain, range and restriction types.
+        assert!(retracted.len() >= 42 + 3, "{} retracted", retracted.len());
+        assert!(
+            stats.passes >= 3,
+            "over-delete, re-derive and forward passes"
+        );
+    }
+
+    #[test]
+    fn retraction_keeps_conclusions_with_a_second_derivation() {
+        let mut b = OntologyBuilder::new("urn:t#");
+        b.class("Feature", None);
+        b.class("Stream", Some("Feature"));
+        b.class("Lake", Some("Feature"));
+        b.object_property("upstreamOf", None, None);
+        b.characteristic("upstreamOf", Characteristic::Transitive);
+        let mut g = b.into_graph();
+        g.add(iri("urn:t#x"), ty(), iri("urn:t#Stream"));
+        g.add(iri("urn:t#x"), ty(), iri("urn:t#Lake"));
+        // a → b → c and a → c' → c: two routes from a to c.
+        for (s, o) in [("a", "b"), ("b", "c"), ("a", "d"), ("d", "c")] {
+            g.add(
+                iri(&format!("urn:t#{s}")),
+                iri("urn:t#upstreamOf"),
+                iri(&format!("urn:t#{o}")),
+            );
+        }
+        let removed = [
+            Triple::new(iri("urn:t#x"), ty(), iri("urn:t#Stream")),
+            Triple::new(iri("urn:t#a"), iri("urn:t#upstreamOf"), iri("urn:t#b")),
+        ];
+        let outcome = retract_matches_scratch(g, &removed);
+        let Maintenance::Maintained { retracted, .. } = outcome else {
+            panic!("plain instance triples retract incrementally");
+        };
+        // Only the two asserted triples go; x stays a Feature, a still
+        // reaches c.
+        assert_eq!(retracted.len(), 2);
+    }
+
+    #[test]
+    fn retraction_through_clique_or_boolean_rules_asks_for_a_rebuild() {
+        let g = kitchen_sink();
+        for removed in [
+            // siteA is in the sameAs clique its shared hasSiteId derives.
+            Triple::new(iri("urn:t#siteA"), iri("urn:t#within"), iri("urn:t#park")),
+            // Stream is a part of the union class Wet.
+            Triple::new(iri("urn:t#s2"), ty(), iri("urn:t#Stream")),
+            // Schema.
+            Triple::new(
+                iri("urn:t#Stream"),
+                iri(rdfs::SUB_CLASS_OF),
+                iri("urn:t#WaterBody"),
+            ),
+        ] {
+            let mut served = g.clone();
+            Reasoner::default().materialize(&mut served);
+            let before = served.clone();
+            let mut edited = g.clone();
+            edited.remove(&removed);
+            let asserted = |s: &Term, p: &Term, o: &Term| edited.has(s, p, o);
+            let edit = Edit {
+                removed: std::slice::from_ref(&removed),
+                since: served.generation(),
+                asserted: &asserted,
+            };
+            let outcome = Reasoner::default()
+                .maintain(&mut served, &edit, &Deadline::never())
+                .unwrap();
+            assert_eq!(outcome, Maintenance::Rebuild, "{removed}");
+            assert_eq!(
+                served, before,
+                "a rebuild answer leaves the graph as it was"
+            );
+        }
     }
 }

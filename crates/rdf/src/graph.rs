@@ -300,12 +300,19 @@ fn stats_from_spo(spo: &Cols) -> HashMap<Id, PredStats> {
 }
 
 /// The mutable novelty overlay: the same small triple set in up to three
-/// orders (ordered sets so range scans stay sorted).
+/// orders (ordered sets so range scans stay sorted), plus, per order, a
+/// bitset of the first-column ids the set has held since it was last
+/// cleared. A probe whose first id has no bit skips the overlay with one
+/// load instead of a tree descent — reads keep the pure-run speed on the
+/// ranges writes never touched. Removal leaves bits set, so they may
+/// over-approximate the set, never under-approximate it.
 #[derive(Debug, Default, Clone)]
 struct Novelty {
     spo: BTreeSet<IdTriple>,
     pos: BTreeSet<IdTriple>,
     osp: BTreeSet<IdTriple>,
+    /// First-column bitsets in [`Order`] index order (SPO, POS, OSP).
+    firsts: [Vec<u64>; 3],
 }
 
 impl Novelty {
@@ -319,11 +326,32 @@ impl Novelty {
 
     fn insert(&mut self, (s, p, o): IdTriple, mode: IndexMode) -> bool {
         let added = self.spo.insert((s, p, o));
-        if added && mode == IndexMode::Full {
-            self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
+        if added {
+            self.mark(Order::Spo, s);
+            if mode == IndexMode::Full {
+                self.pos.insert((p, o, s));
+                self.osp.insert((o, s, p));
+                self.mark(Order::Pos, p);
+                self.mark(Order::Osp, o);
+            }
         }
         added
+    }
+
+    fn mark(&mut self, order: Order, id: Id) {
+        let bits = &mut self.firsts[order as usize];
+        let word = id as usize / 64;
+        if word >= bits.len() {
+            bits.resize(word + 1, 0);
+        }
+        bits[word] |= 1 << (id % 64);
+    }
+
+    /// Whether the overlay may hold an `order` tuple starting with `id`.
+    fn may_hold(&self, order: Order, id: Id) -> bool {
+        self.firsts[order as usize]
+            .get(id as usize / 64)
+            .is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
     fn remove(&mut self, (s, p, o): IdTriple, mode: IndexMode) -> bool {
@@ -339,6 +367,9 @@ impl Novelty {
         self.spo.clear();
         self.pos.clear();
         self.osp.clear();
+        for bits in &mut self.firsts {
+            bits.clear();
+        }
     }
 }
 
@@ -427,13 +458,13 @@ impl Graph {
     /// tombstoned).
     #[inline]
     fn live(&self, t: IdTriple) -> bool {
-        if self.delta.spo.contains(&t) {
+        if self.delta.may_hold(Order::Spo, t.0) && self.delta.spo.contains(&t) {
             return true;
         }
         if !self.run.spo.contains(t) {
             return false;
         }
-        !self.dead.spo.contains(&t)
+        !(self.dead.may_hold(Order::Spo, t.0) && self.dead.spo.contains(&t))
     }
 
     /// Point-insert one id triple (already interned). Appends to the log
@@ -685,6 +716,18 @@ impl Graph {
             .collect()
     }
 
+    /// Every live triple as id tuples, in no promised order: a copy of the
+    /// insertion log while nothing has been removed, else one merged index
+    /// scan — cheaper than probing every log entry for liveness, as
+    /// [`Graph::delta_ids_since`]`(0)` must.
+    pub fn live_ids(&self) -> Vec<(TermId, TermId, TermId)> {
+        if self.removals == 0 {
+            self.log.clone()
+        } else {
+            self.ids_by_predicate()
+        }
+    }
+
     /// Number of interned terms (ids are dense: every id < `term_count`).
     pub fn term_count(&self) -> usize {
         self.interner.terms.len()
@@ -908,27 +951,41 @@ impl Graph {
 
     /// Remove a triple; returns true if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.interner.get(&triple.subject),
-            self.interner.get(&triple.predicate),
-            self.interner.get(&triple.object),
-        ) else {
-            return false;
-        };
-        let t = (s, p, o);
-        let removed = if self.delta.spo.contains(&t) {
-            self.delta.remove(t, self.mode)
-        } else if self.run.spo.contains(t) && !self.dead.spo.contains(&t) {
-            self.dead.insert(t, self.mode);
-            true
-        } else {
-            false
-        };
-        if removed {
-            self.removals += 1;
+        self.ids_of(triple)
+            .is_some_and(|t| self.remove_ids(&[t]) == 1)
+    }
+
+    /// Bulk removal of id triples of this graph (the id-space sibling of
+    /// [`Graph::remove`]); returns how many were present. Compacts at
+    /// most once, after the whole batch.
+    pub fn remove_ids(&mut self, ids: &[(TermId, TermId, TermId)]) -> usize {
+        let mut removed = 0;
+        for &t in ids {
+            let gone = if self.delta.spo.contains(&t) {
+                self.delta.remove(t, self.mode)
+            } else if self.run.spo.contains(t) && !self.dead.spo.contains(&t) {
+                self.dead.insert(t, self.mode);
+                true
+            } else {
+                false
+            };
+            removed += usize::from(gone);
+        }
+        if removed > 0 {
+            self.removals += removed as u64;
             self.maybe_compact();
         }
         removed
+    }
+
+    /// The id triple of `triple` when all three of its terms are interned
+    /// in this graph (whether or not the triple itself is present).
+    pub fn ids_of(&self, triple: &Triple) -> Option<(TermId, TermId, TermId)> {
+        Some((
+            self.interner.get(&triple.subject)?,
+            self.interner.get(&triple.predicate)?,
+            self.interner.get(&triple.object)?,
+        ))
     }
 
     /// Whether the graph contains the triple.
@@ -1191,8 +1248,22 @@ impl Graph {
     fn range_count(&self, order: Order, prefix: Prefix) -> usize {
         let (cols, delta, dead) = self.order_sets(order);
         let (range, bounds) = prefix.locate(cols);
+        if !self.overlay_may_touch(order, prefix) {
+            return range.len();
+        }
         range.len() + delta.range(bounds.0..=bounds.1).count()
             - dead.range(bounds.0..=bounds.1).count()
+    }
+
+    /// Whether an overlay entry (insert or tombstone) may fall in `prefix`
+    /// of `order`; `false` means the run alone answers the probe.
+    fn overlay_may_touch(&self, order: Order, prefix: Prefix) -> bool {
+        match prefix {
+            Prefix::All => !self.delta.is_empty() || !self.dead.is_empty(),
+            Prefix::One(a) | Prefix::Two(a, _) => {
+                self.delta.may_hold(order, a) || self.dead.may_hold(order, a)
+            }
+        }
     }
 
     fn order_sets(&self, order: Order) -> (&Cols, &BTreeSet<IdTriple>, &BTreeSet<IdTriple>) {
@@ -1216,8 +1287,9 @@ impl Graph {
     fn scan_while<F: FnMut(IdTriple) -> bool>(&self, order: Order, prefix: Prefix, mut f: F) {
         let (cols, delta, dead) = self.order_sets(order);
         let (range, bounds) = prefix.locate(cols);
-        if delta.range(bounds.0..=bounds.1).next().is_none()
-            && dead.range(bounds.0..=bounds.1).next().is_none()
+        if !self.overlay_may_touch(order, prefix)
+            || (delta.range(bounds.0..=bounds.1).next().is_none()
+                && dead.range(bounds.0..=bounds.1).next().is_none())
         {
             // No overlay entries touch this prefix (the common case on a
             // compacted graph): walk the columns directly, skipping the
@@ -1948,6 +2020,25 @@ mod tests {
         assert_eq!(fresh as usize + 1, g.term_count());
         // Equality ignores interner contents.
         assert_eq!(g, sample());
+    }
+
+    #[test]
+    fn live_ids_is_the_live_set_before_and_after_removals() {
+        let mut g = sample();
+        let sorted = |mut v: Vec<(TermId, TermId, TermId)>| {
+            v.sort_unstable();
+            v
+        };
+        let mut want: Vec<_> = Vec::new();
+        g.for_each_match_ids(None, None, None, |s, p, o| want.push((s, p, o)));
+        assert_eq!(sorted(g.live_ids()), want);
+        let gone = g.iter().next().expect("sample is not empty");
+        assert!(g.remove(&gone));
+        g.add(Term::iri("urn:z"), Term::iri("urn:p"), Term::iri("urn:y"));
+        let mut want: Vec<_> = Vec::new();
+        g.for_each_match_ids(None, None, None, |s, p, o| want.push((s, p, o)));
+        assert_eq!(sorted(g.live_ids()), want);
+        assert_eq!(sorted(g.delta_ids_since(0)), want);
     }
 
     #[test]

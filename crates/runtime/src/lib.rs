@@ -10,11 +10,9 @@
 //! expiries are exercised without wall-clock sleeps.
 
 pub mod faults;
-pub mod pool;
 pub mod quota;
 
 pub use faults::{splitmix64, SeedTree, SeededDecider};
-pub use pool::{split_shards, ShardPool};
 pub use quota::TokenBucket;
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -31,11 +31,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use grdf_obs::{Counter, Obs, TraceId};
-use grdf_owl::reasoner::Reasoner;
+use grdf_owl::reasoner::{Edit, Maintenance, Reasoner, ReasonerStats};
 use grdf_query::eval::{execute_masked, QueryResult};
 use grdf_rdf::diagnostic::{LintReport, Severity};
 use grdf_rdf::graph::Graph;
 use grdf_rdf::labels::VisBitset;
+use grdf_rdf::term::{Term, Triple};
 use grdf_runtime::{Budget, Deadline};
 use grdf_store::{DurableStore, LoggedOp, Recovered, StorageBackend, StoreConfig, StoreError};
 use std::time::Duration;
@@ -58,20 +59,20 @@ pub trait ReasoningEngine: Send + Sync {
     /// cooperatively; returns the number of inferred triples.
     fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError>;
 
-    /// Derive the consequences of just the triples inserted since
-    /// `from_generation` (a [`Graph::generation`] marker taken when the
-    /// graph was last fully materialized). Only sound for purely-additive
-    /// changes. The default falls back to a full materialization, which
-    /// is always correct on an already-materialized graph — engines with
-    /// a real delta mode override it.
-    fn materialize_delta(
+    /// Bring `graph`, materialized before the update batch `edit`
+    /// describes and since given the batch's inserts, up to date with the
+    /// edited base (see [`Reasoner::maintain`]). An engine without a
+    /// retraction mode answers [`Maintenance::Rebuild`] — the default —
+    /// and G-SACS rematerializes from the base instead. An error may
+    /// leave the graph half-maintained; the caller rebuilds then too.
+    fn maintain(
         &self,
         graph: &mut Graph,
-        from_generation: u64,
+        edit: &Edit<'_>,
         deadline: &Deadline,
-    ) -> Result<usize, EngineError> {
-        let _ = from_generation;
-        self.materialize(graph, deadline)
+    ) -> Result<Maintenance, EngineError> {
+        let _ = (graph, edit, deadline);
+        Ok(Maintenance::Rebuild)
     }
 
     /// Short name for reports.
@@ -99,15 +100,14 @@ impl ReasoningEngine for OwlHorstEngine {
             .map_err(|_| EngineError::DeadlineExceeded)
     }
 
-    fn materialize_delta(
+    fn maintain(
         &self,
         graph: &mut Graph,
-        from_generation: u64,
+        edit: &Edit<'_>,
         deadline: &Deadline,
-    ) -> Result<usize, EngineError> {
+    ) -> Result<Maintenance, EngineError> {
         self.reasoner
-            .materialize_delta(graph, from_generation, deadline)
-            .map(|stats| stats.inferred)
+            .maintain(graph, edit, deadline)
             .map_err(|_| EngineError::DeadlineExceeded)
     }
 
@@ -125,13 +125,26 @@ impl ReasoningEngine for NoReasoning {
         Ok(0)
     }
 
-    fn materialize_delta(
+    /// Without entailments the served graph is the base: drop the removed
+    /// triples and that is all.
+    fn maintain(
         &self,
-        _graph: &mut Graph,
-        _from_generation: u64,
+        graph: &mut Graph,
+        edit: &Edit<'_>,
         _deadline: &Deadline,
-    ) -> Result<usize, EngineError> {
-        Ok(0)
+    ) -> Result<Maintenance, EngineError> {
+        let retracted: Vec<_> = edit
+            .removed
+            .iter()
+            .filter(|t| !(edit.asserted)(&t.subject, &t.predicate, &t.object))
+            .filter_map(|t| graph.ids_of(t))
+            .filter(|&(s, p, o)| graph.has_ids(s, p, o))
+            .collect();
+        graph.remove_ids(&retracted);
+        Ok(Maintenance::Maintained {
+            stats: ReasonerStats::default(),
+            retracted,
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -1219,9 +1232,8 @@ impl GSacs {
     /// matching action (`Edit` for inserts, `Delete` for deletions); on the
     /// first refusal nothing is applied. Successful updates mutate the
     /// un-inferred base, bring the served dataset and its labels up to
-    /// date (deletions re-materialize from the base, so they cannot leave
-    /// stale entailments behind), bump the epoch and clear the query
-    /// cache.
+    /// date in place (a deletion retracts every entailment it supported,
+    /// so none goes stale), bump the epoch and clear the query cache.
     pub fn handle_update(&mut self, request: &UpdateRequest) -> UpdateOutcome {
         self.handle_update_with_budget(request, Budget::UNLIMITED)
     }
@@ -1344,11 +1356,8 @@ impl GSacs {
             }
         }
         // Phase 2: apply to the un-inferred base.
-        let additive = request
-            .ops
-            .iter()
-            .all(|op| matches!(op, UpdateOp::Insert(_)));
         let mut changed = 0;
+        let mut removed: Vec<Triple> = Vec::new();
         for op in &request.ops {
             match op {
                 UpdateOp::Insert(t) => {
@@ -1359,20 +1368,20 @@ impl GSacs {
                 UpdateOp::Delete(t) => {
                     if self.base.remove(t) {
                         changed += 1;
+                        removed.push(t.clone());
                     }
                 }
             }
         }
         if changed > 0 {
-            // Purely-additive batches extend the already-materialized
-            // dataset incrementally; deletions (or a degraded service,
-            // which serves un-materialized data) force the full rebuild —
-            // retraction requires recomputing the fixpoint from the base.
-            if additive && !self.is_degraded() {
-                self.apply_incremental(&request.ops, budget);
-            } else {
+            // Every batch, additive or not, maintains the served dataset
+            // in place. A degraded service serves un-materialized data,
+            // so it rebuilds instead (which is also how it recovers).
+            if self.is_degraded() {
                 grdf_obs::incr("gsacs.update.full");
                 self.rematerialize_with_budget(budget);
+            } else {
+                self.apply_incremental(&request.ops, &removed, budget);
             }
             self.invalidate();
             self.checkpoint_if_due(trace_id);
@@ -1380,29 +1389,40 @@ impl GSacs {
         UpdateOutcome::Applied(changed)
     }
 
-    /// Extend the served dataset with an additive batch: insert the new
-    /// triples, run the engine's delta materialization from a generation
-    /// marker, and relabel what the delta (asserted plus inferred) touches
-    /// — or recompile the labels when it carries schema or role-hierarchy
-    /// triples. Any engine failure falls back to the full rebuild path
-    /// (which handles degradation and auditing).
-    fn apply_incremental(&mut self, ops: &[UpdateOp], budget: Budget) {
+    /// Bring the served dataset up to date with an applied batch in place:
+    /// add the inserts the base still holds, let the engine retract what
+    /// the removed triples supported and derive what the inserts entail,
+    /// then relabel what changed (asserted, inferred and retracted) — or
+    /// recompile the labels when that touches schema or role-hierarchy
+    /// triples. When the engine answers that the batch needs a full
+    /// fixpoint, fails, or runs out of budget, the full rebuild runs
+    /// instead (it handles degradation and auditing); a failed attempt
+    /// is never retried on a half-maintained graph.
+    fn apply_incremental(&mut self, ops: &[UpdateOp], removed: &[Triple], budget: Budget) {
         let span = grdf_obs::span("gsacs.update.incremental").tag("engine", self.engine.name());
         let deadline = Deadline::armed(self.config.clock.clone(), budget);
-        let mark = self.data.generation();
+        let since = self.data.generation();
         for op in ops {
             if let UpdateOp::Insert(t) = op {
-                self.data.insert(t.clone());
+                if self.base.contains(t) {
+                    self.data.insert(t.clone());
+                }
             }
         }
-        match self
-            .engine
-            .materialize_delta(&mut self.data, mark, &deadline)
-        {
-            Ok(inferred) => {
-                self.inferred += inferred;
-                let delta = self.data.delta_ids_since(mark);
-                let relabel = if self.labels.relabel(&self.data, &delta) {
+        let base = &self.base;
+        let asserted = |s: &Term, p: &Term, o: &Term| base.has(s, p, o);
+        let edit = Edit {
+            removed,
+            since,
+            asserted: &asserted,
+        };
+        match self.engine.maintain(&mut self.data, &edit, &deadline) {
+            Ok(Maintenance::Maintained { stats, retracted }) => {
+                // The served dataset is the base plus its entailments, so
+                // the count stays exact across retractions.
+                self.inferred = self.data.len().saturating_sub(self.base.len());
+                let delta = self.data.delta_ids_since(since);
+                let relabel = if self.labels.relabel(&self.data, &delta, &retracted) {
                     "delta"
                 } else {
                     self.compile_labels();
@@ -1411,10 +1431,16 @@ impl GSacs {
                 drop(
                     span.tag("ok", true)
                         .tag("delta", delta.len())
-                        .tag("inferred", inferred)
+                        .tag("inferred", stats.inferred)
+                        .tag("retracted", retracted.len())
                         .tag("relabel", relabel),
                 );
                 grdf_obs::incr("gsacs.update.incremental");
+            }
+            Ok(Maintenance::Rebuild) => {
+                drop(span.tag("ok", true).tag("rebuild", true));
+                grdf_obs::incr("gsacs.update.full");
+                self.rematerialize_with_budget(budget);
             }
             Err(e) => {
                 drop(span.tag("ok", false).tag("error", e));
@@ -2045,11 +2071,11 @@ mod tests {
                 &inferred_triple.predicate,
                 &inferred_triple.object
             ),
-            "stale entailment must not survive re-materialization"
+            "stale entailment must not survive the delete"
         );
         assert_eq!(
             svc.inferred, 0,
-            "inferred counter reflects the rebuild, not a running sum"
+            "inferred counter is exact after a retraction, not a running sum"
         );
     }
 
@@ -2152,7 +2178,8 @@ mod tests {
         let mut scratch = svc.base.clone();
         Reasoner::default().materialize(&mut scratch);
         assert_eq!(*svc.dataset(), scratch);
-        // A deletion forces the full rebuild path.
+        // A deletion takes the same incremental path and retracts the
+        // entailment it supported.
         let delete_c2 = crate::policy::Policy {
             action: crate::policy::Action::Delete,
             ..Policy::permit("urn:pd", "urn:editor", &grdf::app("c2"))
@@ -2167,11 +2194,55 @@ mod tests {
             ))],
         });
         assert_eq!(out, UpdateOutcome::Applied(1));
-        assert_eq!((incremental.get(), full.get()), (1, 1));
+        assert_eq!((incremental.get(), full.get()), (2, 0));
         assert!(
             !svc.dataset().has(&c2, &Term::iri(rdf::TYPE), &stream),
-            "deletion retracts the entailment via the full rebuild"
+            "deletion retracts the entailment"
         );
+        let mut scratch = svc.base.clone();
+        Reasoner::default().materialize(&mut scratch);
+        assert_eq!(*svc.dataset(), scratch);
+    }
+
+    #[test]
+    fn delete_keeps_an_entailment_with_another_derivation() {
+        use grdf_rdf::vocab::{rdf, rdfs};
+        let mut data = Graph::new();
+        let creek = Term::iri(&grdf::app("Creek"));
+        let brook = Term::iri(&grdf::app("Brook"));
+        let stream = Term::iri(&grdf::app("Stream"));
+        let c1 = Term::iri(&grdf::app("c1"));
+        let ty = Term::iri(rdf::TYPE);
+        data.add(creek.clone(), Term::iri(rdfs::SUB_CLASS_OF), stream.clone());
+        data.add(brook.clone(), Term::iri(rdfs::SUB_CLASS_OF), stream.clone());
+        data.add(c1.clone(), ty.clone(), creek.clone());
+        data.add(c1.clone(), ty.clone(), brook.clone());
+        let delete = crate::policy::Policy {
+            action: crate::policy::Action::Delete,
+            ..Policy::permit("urn:pd", "urn:admin", &grdf::app("c1"))
+        };
+        let mut svc = GSacs::new(
+            OntoRepository::new(),
+            PolicySet::new(vec![delete]),
+            Box::<OwlHorstEngine>::default(),
+            data,
+            4,
+        );
+        let full = svc.obs().registry().counter("gsacs.update.full");
+        let out = svc.handle_update(&UpdateRequest {
+            role: "urn:admin".into(),
+            ops: vec![UpdateOp::Delete(Triple::new(c1.clone(), ty.clone(), creek))],
+        });
+        assert_eq!(out, UpdateOutcome::Applied(1));
+        assert_eq!(full.get(), 0, "the delete took the incremental path");
+        assert!(
+            svc.dataset().has(&c1, &ty, &stream),
+            "c1 is still a Stream through Brook"
+        );
+        let mut scratch = svc.base.clone();
+        Reasoner::default().materialize(&mut scratch);
+        assert_eq!(*svc.dataset(), scratch);
+        assert_eq!(svc.inferred, scratch.len() - svc.base.len());
     }
 
     #[test]

@@ -713,24 +713,34 @@ impl LabelIr {
         self.table.set_pred(p, class);
     }
 
-    /// Patch the table for an additive change: `delta` holds every triple
-    /// `data` gained since the table was last brought up to date (asserted
-    /// and inferred). Only what the delta touches is relabeled:
+    /// Patch the table after an update: `delta` holds every triple `data`
+    /// gained since the table was last brought up to date, `removed` every
+    /// triple it lost (asserted, inferred or retracted). Only what they
+    /// touch is relabeled:
     ///
-    /// * predicates first seen in the delta get their class;
-    /// * every non-blank subject of the delta is re-granted (a new type
-    ///   can move it into or out of a designated class);
-    /// * blank nodes below a re-granted subject or hanging off a delta
-    ///   triple take their reach again from their owners.
+    /// * predicates first seen in the delta get their class, and
+    ///   predicates the graph no longer holds lose theirs;
+    /// * every subject of either list is re-granted from scratch (a new
+    ///   type can move it into a designated class, a lost one out of it);
+    ///   a subject left without triples drops out of the table;
+    /// * blank nodes below a re-granted subject, or hanging off a gained
+    ///   or lost triple, take their reach again from their owners.
     ///
-    /// Returns `false`, leaving the table untouched, when the delta holds
-    /// an RDFS/OWL-vocabulary or `sec:subRoleOf` triple: those change
-    /// designator cones, superproperty closures or effective policy sets,
-    /// so the caller must recompile.
-    pub fn relabel(&mut self, data: &Graph, delta: &[(TermId, TermId, TermId)]) -> bool {
-        let span = grdf_obs::span("labels.relabel").tag("delta", delta.len());
+    /// Returns `false`, leaving the table untouched, when either list
+    /// holds an RDFS/OWL-vocabulary or `sec:subRoleOf` triple: those
+    /// change designator cones, superproperty closures or effective
+    /// policy sets, so the caller must recompile.
+    pub fn relabel(
+        &mut self,
+        data: &Graph,
+        delta: &[(TermId, TermId, TermId)],
+        removed: &[(TermId, TermId, TermId)],
+    ) -> bool {
+        let span = grdf_obs::span("labels.relabel")
+            .tag("delta", delta.len())
+            .tag("removed", removed.len());
         let sub_role = sub_role_of();
-        let structural = delta.iter().any(|&(_, p, _)| {
+        let structural = delta.iter().chain(removed).any(|&(_, p, _)| {
             data.term_of(p)
                 .as_iri()
                 .is_some_and(|i| i.starts_with(rdfs::NS) || i.starts_with(owl::NS) || i == sub_role)
@@ -745,23 +755,41 @@ impl LabelIr {
         for &(_, p, _) in delta {
             self.classify_predicate(data, p);
         }
+        for &(_, p, _) in removed {
+            if self.classified.contains(&p) && data.estimate_ids(None, Some(p), None) == 0 {
+                self.unclassify_predicate(p);
+            }
+        }
         let maps = self.match_maps(data);
         let is_blank = |id: TermId| data.term_of(id).is_blank();
         let mut dirty: Vec<TermId> = delta
             .iter()
+            .chain(removed)
             .filter(|t| is_blank(t.2))
             .map(|t| t.2)
             .collect();
-        let mut subjects: Vec<TermId> = delta.iter().map(|t| t.0).collect();
+        let mut subjects: Vec<TermId> = delta.iter().chain(removed).map(|t| t.0).collect();
         subjects.sort_unstable();
         subjects.dedup();
         let mut regranted = 0;
         for s in subjects {
+            let before = self.table.subject_class(s);
+            for c in &mut self.policies {
+                c.matches.remove(&s);
+            }
+            self.instance_subjects.remove(&s);
+            if data.estimate_ids(Some(s), None, None) == 0 {
+                // No triple names it as subject any more: a fresh compile
+                // never sees it (a blank node keeps its reach).
+                if !is_blank(s) {
+                    self.table.set_subject(s, HIDDEN);
+                }
+                continue;
+            }
             let mut types = Vec::new();
             if let Some(ty) = self.type_id {
                 data.for_each_match_ids(Some(s), Some(ty), None, |_, _, o| types.push(o));
             }
-            let before = self.table.subject_class(s);
             if self.grant_subject(data, &maps, s, &types) != before {
                 regranted += 1;
                 data.for_each_match_ids(Some(s), None, None, |_, _, o| {
@@ -774,6 +802,18 @@ impl LabelIr {
         let reached = self.rereach(data, dirty);
         drop(span.tag("regranted", regranted).tag("rereached", reached));
         true
+    }
+
+    /// Forget predicate `p`'s class: the graph no longer holds a triple of
+    /// it, so a fresh compile would never classify it.
+    fn unclassify_predicate(&mut self, p: TermId) {
+        self.classified.remove(&p);
+        for c in &mut self.policies {
+            if let Some(allowed) = &mut c.allowed {
+                allowed.remove(&p);
+            }
+        }
+        self.table.set_pred(p, 0);
     }
 
     /// Recompute the reach of `seeds` and every blank node below them.

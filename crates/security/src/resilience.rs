@@ -33,6 +33,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use grdf_owl::reasoner::{Edit, Maintenance};
 use grdf_query::eval::QueryError;
 use grdf_rdf::graph::Graph;
 use grdf_runtime::{splitmix64, Budget, Clock, Deadline, SeedTree, SeededDecider};
@@ -345,19 +346,36 @@ impl ResilientEngine {
         self.drive(graph, deadline, |engine, g, d| engine.materialize(g, d))
     }
 
-    /// Incremental counterpart of [`ResilientEngine::materialize`]: derive
-    /// the consequences of triples inserted since `from_generation`, with
-    /// the same breaker and retry behavior. Retrying is safe — the delta
-    /// pass is idempotent over an additive graph.
-    pub fn materialize_delta(
+    /// Incremental counterpart of [`ResilientEngine::materialize`]:
+    /// maintain `graph` through one update batch (see
+    /// [`ReasoningEngine::maintain`]) behind the same breaker. One attempt,
+    /// never retried: an attempt that fails or expires midway may have
+    /// retracted part of what the batch removed, and running it again on
+    /// that half-maintained graph would start from the wrong closure — the
+    /// caller rebuilds from the base instead. An engine's
+    /// [`Maintenance::Rebuild`] answer is not a failure: it leaves the
+    /// breaker as it is.
+    pub fn maintain(
         &self,
         graph: &mut Graph,
-        from_generation: u64,
+        edit: &Edit<'_>,
         deadline: &Deadline,
-    ) -> Result<usize, EngineError> {
-        self.drive(graph, deadline, |engine, g, d| {
-            engine.materialize_delta(g, from_generation, d)
-        })
+    ) -> Result<Maintenance, EngineError> {
+        if self.state() == BreakerState::Open {
+            return Err(EngineError::CircuitOpen);
+        }
+        match self.inner.maintain(graph, edit, deadline) {
+            Ok(Maintenance::Rebuild) => Ok(Maintenance::Rebuild),
+            Ok(done) => {
+                self.record_success();
+                Ok(done)
+            }
+            Err(e) => {
+                self.failed_attempts.fetch_add(1, Ordering::Relaxed);
+                self.record_failure();
+                Err(e)
+            }
+        }
     }
 
     fn drive(
@@ -861,7 +879,8 @@ pub struct FaultyEngine {
 }
 
 impl FaultyEngine {
-    /// Wrap `inner`, consulting `plan` on every materialization.
+    /// Wrap `inner`, consulting `plan` on every materialization and
+    /// maintenance call.
     pub fn new(
         inner: Box<dyn ReasoningEngine>,
         plan: Arc<FaultPlan>,
@@ -869,10 +888,11 @@ impl FaultyEngine {
     ) -> FaultyEngine {
         FaultyEngine { inner, plan, clock }
     }
-}
 
-impl ReasoningEngine for FaultyEngine {
-    fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError> {
+    /// Consult the plan for this call: an injected error fails it, an
+    /// injected stall sleeps on the clock and fails it once the deadline
+    /// has passed.
+    fn fault(&self, deadline: &Deadline) -> Result<(), EngineError> {
         match self.plan.decide(Stage::Reasoning) {
             Some(FaultKind::Error) => {
                 // Mark the injected fault in the trace so degraded-mode
@@ -883,7 +903,7 @@ impl ReasoningEngine for FaultyEngine {
                         .tag("stage", Stage::Reasoning),
                 );
                 grdf_obs::incr("faults.injected");
-                return Err(EngineError::Failed("injected reasoner fault".to_string()));
+                Err(EngineError::Failed("injected reasoner fault".to_string()))
             }
             Some(FaultKind::Latency(d)) => {
                 drop(
@@ -896,10 +916,27 @@ impl ReasoningEngine for FaultyEngine {
                 if deadline.expired() {
                     return Err(EngineError::DeadlineExceeded);
                 }
+                Ok(())
             }
-            None => {}
+            None => Ok(()),
         }
+    }
+}
+
+impl ReasoningEngine for FaultyEngine {
+    fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError> {
+        self.fault(deadline)?;
         self.inner.materialize(graph, deadline)
+    }
+
+    fn maintain(
+        &self,
+        graph: &mut Graph,
+        edit: &Edit<'_>,
+        deadline: &Deadline,
+    ) -> Result<Maintenance, EngineError> {
+        self.fault(deadline)?;
+        self.inner.maintain(graph, edit, deadline)
     }
 
     fn name(&self) -> &'static str {

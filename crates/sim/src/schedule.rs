@@ -172,15 +172,19 @@ impl Schedule {
         let faults = tree.child("faults").decider();
         let mut actions = Vec::with_capacity(steps);
         let mut events = Vec::new();
+        // The run's update mix: of the 33 update points per 100 steps,
+        // 8..=24 are deletes, so some runs are delete-heavy (more deletes
+        // than inserts) and retraction gets exercised as hard as insertion.
+        let first_delete = 83 - (8 + workload.pick("mix.deletes", 0, 17));
         for step in 0..steps {
             let n = step as u64;
             let action = match workload.pick("action", n, 100) {
                 0..=29 => Action::QueryRestricted,
                 30..=49 => Action::QueryEmergency,
-                50..=74 => Action::UpdateInsert {
+                a @ 50..=82 if a < first_delete => Action::UpdateInsert {
                     site: workload.pick("site", n, SITES as u64) as usize,
                 },
-                75..=82 => Action::UpdateDelete,
+                50..=82 => Action::UpdateDelete,
                 83..=89 => Action::UpdateDeniedRole {
                     site: workload.pick("site", n, SITES as u64) as usize,
                 },
@@ -313,6 +317,19 @@ mod tests {
         }
         assert!(engine > 0 && storage > 0 && conn > 0);
         assert!(clock > 0 && kill > 0 && corrupt > 0);
+    }
+
+    #[test]
+    fn some_runs_are_delete_heavy() {
+        let heavy = (0..40u64)
+            .filter(|&seed| {
+                let s = Schedule::generate(seed, 200);
+                let count = |f: fn(&Action) -> bool| s.actions.iter().filter(|a| f(a)).count();
+                count(|a| matches!(a, Action::UpdateDelete))
+                    > count(|a| matches!(a, Action::UpdateInsert { .. }))
+            })
+            .count();
+        assert!(heavy > 0 && heavy < 40, "{heavy} of 40 runs delete-heavy");
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //!    role still sees it (so the denial proves something).
 //! 5. **Audit coverage** — every served policy decision is on the
 //!    durable audit stream or counted as an explicit sink failure.
+//! 6. **Materialization** — after every update and every recovery, the
+//!    served dataset equals the fixpoint of the base (the base itself
+//!    while degraded): no entailment goes stale, none is missing.
 
 use std::collections::BTreeSet;
 use std::io;
@@ -28,12 +31,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use grdf_feature::{encode_feature, Feature};
-use grdf_rdf::vocab::grdf as ns;
+use grdf_owl::reasoner::{Edit, Maintenance, Reasoner};
+use grdf_rdf::vocab::{grdf as ns, rdfs};
 use grdf_rdf::{Graph, Term, Triple};
-use grdf_runtime::{Clock, ManualClock, SeedTree};
-use grdf_security::gsacs::{GSacs, OntoRepository, OwlHorstEngine};
+use grdf_runtime::{Clock, Deadline, ManualClock, SeedTree};
+use grdf_security::gsacs::{GSacs, OntoRepository, OwlHorstEngine, ReasoningEngine};
 use grdf_security::policy::{Action as PolicyAction, Policy, PolicySet};
-use grdf_security::resilience::{FaultInjector, GsacsError, ResilienceConfig, Stage};
+use grdf_security::resilience::{EngineError, FaultInjector, GsacsError, ResilienceConfig, Stage};
 use grdf_server::{sim_conn, well_formed_response, QuotaConfig, ServerConfig, ServerCore};
 use grdf_store::{recover, MemBackend, StorageBackend, StoreConfig};
 
@@ -60,6 +64,11 @@ pub enum Bug {
     /// persisting them — the service acknowledges updates that a crash
     /// silently loses. The durability oracle must catch this.
     AckWithoutWal,
+    /// The reasoning engine's incremental maintenance drops the removed
+    /// assertions but none of what they entailed — deleting a site's last
+    /// note leaves its derived type behind. The materialization oracle
+    /// must catch this.
+    StaleEntailment,
 }
 
 impl std::str::FromStr for Bug {
@@ -67,7 +76,10 @@ impl std::str::FromStr for Bug {
     fn from_str(s: &str) -> Result<Bug, String> {
         match s {
             "ack-without-wal" => Ok(Bug::AckWithoutWal),
-            other => Err(format!("unknown bug '{other}' (try: ack-without-wal)")),
+            "stale-entailment" => Ok(Bug::StaleEntailment),
+            other => Err(format!(
+                "unknown bug '{other}' (try: ack-without-wal, stale-entailment)"
+            )),
         }
     }
 }
@@ -225,6 +237,51 @@ impl FaultInjector for ScheduledInjector {
     }
 }
 
+/// The engine behind [`Bug::StaleEntailment`]: OWL-Horst, except that
+/// maintenance drops the deleted assertions and retracts nothing they
+/// supported.
+struct StaleEntailmentEngine(OwlHorstEngine);
+
+impl ReasoningEngine for StaleEntailmentEngine {
+    fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError> {
+        self.0.materialize(graph, deadline)
+    }
+
+    fn maintain(
+        &self,
+        graph: &mut Graph,
+        edit: &Edit<'_>,
+        deadline: &Deadline,
+    ) -> Result<Maintenance, EngineError> {
+        let mut retracted: Vec<_> = edit
+            .removed
+            .iter()
+            .filter_map(|t| graph.ids_of(t))
+            .filter(|&(s, p, o)| graph.has_ids(s, p, o))
+            .collect();
+        graph.remove_ids(&retracted);
+        let inserts_only = Edit {
+            removed: &[],
+            since: edit.since,
+            asserted: edit.asserted,
+        };
+        Ok(match self.0.maintain(graph, &inserts_only, deadline)? {
+            Maintenance::Maintained {
+                stats,
+                retracted: more,
+            } => {
+                retracted.extend(more);
+                Maintenance::Maintained { stats, retracted }
+            }
+            Maintenance::Rebuild => Maintenance::Rebuild,
+        })
+    }
+
+    fn name(&self) -> &'static str {
+        "stale-entailment"
+    }
+}
+
 /// Storage backend consulting the schedule (and carrying the planted
 /// bug, when any): short writes persist a prefix and error, failed
 /// fsyncs report unknown durability, and `AckWithoutWal` silently drops
@@ -306,6 +363,13 @@ impl StorageBackend for ScheduledBackend {
 
 fn site_data() -> Graph {
     let mut data = Graph::new();
+    // A note types its site: deleting a site's last note must retract
+    // the type, deleting one of two must keep it.
+    data.add(
+        Term::iri(&ns::app("hasInspectionNote")),
+        Term::iri(rdfs::DOMAIN),
+        Term::iri(&ns::app("InspectedSite")),
+    );
     for i in 0..SITES {
         let mut site = Feature::new(&ns::app(&format!("site{i}")), "ChemSite");
         site.set_property("hasSiteName", format!("Site {i}").as_str());
@@ -455,6 +519,37 @@ impl World {
         }
     }
 
+    fn engine(&self) -> Box<dyn ReasoningEngine> {
+        if self.cfg.bug == Some(Bug::StaleEntailment) {
+            Box::new(StaleEntailmentEngine(OwlHorstEngine::default()))
+        } else {
+            Box::<OwlHorstEngine>::default()
+        }
+    }
+
+    /// The materialization oracle: the served dataset is the fixpoint of
+    /// the served base, or the base itself while degraded.
+    fn check_materialized(&mut self, step: usize) {
+        let svc = self.core.service().read();
+        let mut want = svc.base_graph().clone();
+        if !svc.is_degraded() {
+            Reasoner::default().materialize(&mut want);
+        }
+        let served = svc.dataset();
+        if *served == want {
+            return;
+        }
+        let detail = match served.iter().find(|t| !want.contains(t)) {
+            Some(t) => format!("served stale triple {t}"),
+            None => match want.iter().find(|t| !served.contains(t)) {
+                Some(t) => format!("served dataset lacks entailed triple {t}"),
+                None => "served dataset differs from the fixpoint of the base".to_string(),
+            },
+        };
+        drop(svc);
+        self.violation(step, "materialized", detail);
+    }
+
     fn violation(&mut self, step: usize, oracle: &'static str, detail: String) {
         self.violations.push(Violation {
             step,
@@ -585,6 +680,7 @@ impl World {
             }
             _ => {}
         }
+        self.check_materialized(step);
     }
 
     fn note_triple(&self, site: usize, step: usize) -> Triple {
@@ -723,7 +819,7 @@ impl World {
         let recovered = GSacs::recover_with_resilience(
             self.backend(),
             self.store_config(),
-            Box::<OwlHorstEngine>::default(),
+            self.engine(),
             16,
             self.resilience_config(),
         );
@@ -756,7 +852,7 @@ impl World {
                     self.store_config(),
                     OntoRepository::new(),
                     policies(),
-                    Box::<OwlHorstEngine>::default(),
+                    self.engine(),
                     site_data(),
                     16,
                     self.resilience_config(),
@@ -773,6 +869,7 @@ impl World {
             }
         }
         self.step.store(step as u64, Ordering::Relaxed);
+        self.check_materialized(step);
         // Label ≡ view after recovery: the restricted role still cannot
         // see the secret, and the authorized role still can.
         self.step_query(step, &ns::sec("MainRep"), true, None);
@@ -899,7 +996,7 @@ pub fn run_schedule(config: &SimConfig, disabled: &BTreeSet<usize>) -> SimReport
         world.store_config(),
         OntoRepository::new(),
         policies(),
-        Box::<OwlHorstEngine>::default(),
+        world.engine(),
         site_data(),
         16,
         world.resilience_config(),

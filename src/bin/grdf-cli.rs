@@ -95,7 +95,8 @@ const USAGE: &str = "usage:
                     [--trace-id H] [--body S | --body @file]
   grdf-cli chaos    <addr> [--seed N] [--cases N]
   grdf-cli sim      [--seed N] [--steps N] [--quick] [--replay] [--shrink]
-                    [--bug ack-without-wal] [--swarm N] [--out DIR] [--json]";
+                    [--bug ack-without-wal|stale-entailment] [--swarm N] [--out DIR]
+                    [--json]";
 
 /// Run a CLI invocation; returns the text to print and the process exit
 /// code (nonzero only for `lint` gate failures — usage and I/O errors go

@@ -251,7 +251,8 @@ enum Step {
     /// Type a site as a Refinery: into RoleA's (and, inherited, RoleB's)
     /// denied class.
     IntoDenied(usize),
-    /// Delete that type again: out of the denied class (full rebuild).
+    /// Delete that type again: out of the denied class (delta relabel of
+    /// the removal).
     OutOfDenied(usize),
     /// A predicate the data has never held, named by RoleA's
     /// property-conditioned permit.
@@ -267,18 +268,23 @@ enum Step {
     Alias(usize),
     /// Delete a site's name.
     DeleteName(usize),
+    /// Delete a site's inspection note: deleting the last one takes the
+    /// predicate out of the graph, and so out of the conditioned permit's
+    /// predicate set.
+    DeleteNote(usize),
 }
 
 fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
-        (0..7usize, 0..4usize, 0..3usize).prop_map(|(kind, site, node)| match kind {
+        (0..8usize, 0..4usize, 0..3usize).prop_map(|(kind, site, node)| match kind {
             0 => Step::IntoDenied(site),
             1 => Step::OutOfDenied(site),
             2 => Step::NewPredicate(site),
             3 => Step::Geometry(site, node),
             4 => Step::Schema(node % 2),
             5 => Step::Alias(site),
-            _ => Step::DeleteName(site),
+            6 => Step::DeleteName(site),
+            _ => Step::DeleteNote(site),
         }),
         4..12,
     )
@@ -435,6 +441,11 @@ fn step_requests(step: Step) -> Vec<Vec<UpdateOp>> {
             site(i),
             &ns::app("hasSiteName"),
             Term::string(&format!("Site {i}")),
+        ))],
+        Step::DeleteNote(i) => vec![UpdateOp::Delete(t(
+            site(i),
+            &ns::app("hasInspectionNote"),
+            Term::string(&format!("note {i}")),
         ))],
         Step::Geometry(..) => unreachable!("expanded above"),
     };

@@ -1,17 +1,20 @@
 //! Property-based tests on the reasoner's core invariants: idempotence,
-//! monotonicity, subclass-closure soundness/completeness, and the
-//! interaction between reasoning and consistency checking.
+//! monotonicity, subclass-closure soundness/completeness, the interaction
+//! between reasoning and consistency checking, and incremental
+//! maintenance (insertion and retraction) against a from-scratch fixpoint.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 use grdf::owl::consistency::check_consistency;
 use grdf::owl::hierarchy::Hierarchy;
-use grdf::owl::reasoner::{Reasoner, Strategy as EvalStrategy};
-use grdf::rdf::term::Term;
+use grdf::owl::reasoner::{Edit, Maintenance, Reasoner, Strategy as EvalStrategy};
+use grdf::rdf::term::{Term, Triple};
 use grdf::rdf::vocab::{owl, rdf, rdfs};
 use grdf::rdf::Graph;
 use grdf::runtime::Deadline;
+use grdf::security::gsacs::{GSacs, OntoRepository, OwlHorstEngine, UpdateOp, UpdateRequest};
+use grdf::security::policy::{Action, Policy, PolicySet};
 
 /// Random subclass forest over `n` classes: each class i > 0 gets at most
 /// one parent among classes 0..i, plus random instance assignments.
@@ -68,8 +71,9 @@ fn property(i: usize) -> Term {
 /// property axioms (sub-property chains, domain/range, characteristics,
 /// inverses), property assertions, and an optional OWL restriction. This
 /// exercises every rule family the engine implements, so the equivalence
-/// properties below compare the naive, semi-naive, and parallel engines
-/// over their full rule surface, not just subclass closure.
+/// properties below compare the naive and semi-naive engines, and
+/// incremental maintenance, over their full rule surface, not just
+/// subclass closure.
 #[derive(Debug, Clone)]
 struct RichGraph {
     taxonomy: Taxonomy,
@@ -369,20 +373,6 @@ proptest! {
         }
     }
 
-    /// The parallel engine (any worker count) computes the same fixpoint
-    /// as the sequential semi-naive engine — the merge is deterministic.
-    #[test]
-    fn parallel_equals_sequential_on_random_graphs(r in arb_rich_graph(), shards in 2usize..6) {
-        let g = rich_to_graph(&r);
-        for config in rule_configs() {
-            let sequential = fixpoint(&g, config);
-            let parallel = fixpoint(&g, Reasoner { shards, ..config });
-            prop_assert_eq!(&sequential, &parallel,
-                "parallel({}) diverged (rdfs={} owl={} restrictions={})",
-                shards, config.rdfs, config.owl, config.restrictions);
-        }
-    }
-
     /// Incrementally deriving the consequences of a batch of additions
     /// yields exactly the same graph as re-materializing from scratch.
     #[test]
@@ -404,5 +394,174 @@ proptest! {
             .expect("never-expiring deadline");
         reasoner.materialize(&mut scratch);
         prop_assert_eq!(&incremental, &scratch);
+    }
+
+    /// Retracting a random subset of asserted instance triples — types
+    /// under subclass chains, transitive (a fixed chain among them),
+    /// inverse and symmetric edges, domain/range and restriction
+    /// premises — through
+    /// [`Reasoner::maintain`], with or without inserts in the same batch,
+    /// yields exactly the from-scratch fixpoint of the edited base. A
+    /// `twin` pick first gives the removed triple a second derivation (a
+    /// subproperty or subclass alias), which must survive the retraction.
+    /// Removing a schema triple may instead ask for a rebuild; instance
+    /// triples never do here (the graphs have no `sameAs` and no boolean
+    /// classes).
+    #[test]
+    fn retraction_equals_full_rematerialization(
+        r in arb_rich_graph(),
+        picks in prop::collection::vec((any::<usize>(), any::<bool>()), 1..6),
+        schema_pick in proptest::option::of(any::<usize>()),
+        extra in prop::collection::vec((0..8usize, 0..4usize, 0..8usize), 0..4),
+    ) {
+        let mut base = rich_to_graph(&r);
+        add_chain(&mut base);
+        let is_instance = |t: &Triple| t.subject.as_iri().is_some_and(|i| i.starts_with("urn:tax#i"));
+        let instances: Vec<Triple> = base.iter().filter(is_instance).collect();
+        let schema: Vec<Triple> = base.iter().filter(|t| !is_instance(t)).collect();
+        prop_assume!(!instances.is_empty());
+        let mut removed: Vec<Triple> = Vec::new();
+        for (k, (pick, twin)) in picks.iter().enumerate() {
+            let t = instances[pick % instances.len()].clone();
+            if removed.contains(&t) {
+                continue;
+            }
+            if *twin {
+                add_alias(&mut base, &t, k);
+            }
+            removed.push(t);
+        }
+        if let Some(pick) = schema_pick.filter(|_| !schema.is_empty()) {
+            removed.push(schema[pick % schema.len()].clone());
+        }
+        let mut edited = base.clone();
+        for t in &removed {
+            edited.remove(t);
+        }
+        for (s, p, o) in &extra {
+            edited.add(instance(*s + 50), property(*p), instance(*o + 50));
+        }
+        for config in rule_configs() {
+            let mut served = fixpoint(&base, config);
+            let since = served.generation();
+            for (s, p, o) in &extra {
+                served.add(instance(*s + 50), property(*p), instance(*o + 50));
+            }
+            let asserted = |s: &Term, p: &Term, o: &Term| edited.has(s, p, o);
+            let edit = Edit { removed: &removed, since, asserted: &asserted };
+            let outcome = config
+                .maintain(&mut served, &edit, &Deadline::never())
+                .expect("never-expiring deadline");
+            let scratch = fixpoint(&edited, config);
+            match outcome {
+                Maintenance::Maintained { retracted, .. } => {
+                    prop_assert_eq!(&served, &scratch,
+                        "retraction diverged (rdfs={} owl={} restrictions={})",
+                        config.rdfs, config.owl, config.restrictions);
+                    for &(s, p, o) in &retracted {
+                        prop_assert!(!served.has_ids(s, p, o), "retracted triple still served");
+                    }
+                }
+                Maintenance::Rebuild => prop_assert!(
+                    schema_pick.is_some(),
+                    "instance-only removals must not need a rebuild"
+                ),
+            }
+        }
+    }
+
+    /// The served G-SACS after every update of a random sequence of
+    /// deletes and inserts, over a rich graph that also holds an
+    /// `owl:sameAs` clique and a union class: its dataset equals the
+    /// from-scratch fixpoint of its base, whether the batch took the
+    /// incremental path or fell back to the full rebuild (schema,
+    /// `sameAs` and boolean-class deletes).
+    #[test]
+    fn gsacs_serves_the_fixpoint_after_deletes(
+        r in arb_rich_graph(),
+        ops in prop::collection::vec((any::<usize>(), any::<bool>()), 1..8),
+    ) {
+        let mut data = rich_to_graph(&r);
+        data.add(instance(0), Term::iri(owl::SAME_AS), instance(1));
+        let union = data.write_list(&[class(1), class(2)]);
+        data.add(Term::iri("urn:tax#Either"), Term::iri(owl::UNION_OF), union);
+        // Every IRI subject may be edited and deleted.
+        let subjects: Vec<Term> = data
+            .all_subjects()
+            .into_iter()
+            .filter(|s| s.as_iri().is_some())
+            .collect();
+        let mut policies = Vec::new();
+        for (n, s) in subjects.iter().enumerate() {
+            let iri = s.as_iri().expect("IRI subject");
+            for action in [Action::Edit, Action::Delete] {
+                policies.push(Policy {
+                    action,
+                    ..Policy::permit(&format!("urn:p:{n}:{action:?}"), "urn:role#admin", iri)
+                });
+            }
+        }
+        let candidates: Vec<Triple> = data.iter().filter(|t| t.subject.as_iri().is_some()).collect();
+        let mut svc = GSacs::new(
+            OntoRepository::new(),
+            PolicySet::new(policies),
+            Box::<OwlHorstEngine>::default(),
+            data,
+            0,
+        );
+        for (k, (pick, insert)) in ops.iter().enumerate() {
+            let t = candidates[pick % candidates.len()].clone();
+            let op = if *insert {
+                // A fresh assertion on the same subject and predicate.
+                UpdateOp::Insert(Triple::new(t.subject.clone(), t.predicate.clone(), instance(60 + k)))
+            } else {
+                UpdateOp::Delete(t)
+            };
+            let request = UpdateRequest { role: "urn:role#admin".to_string(), ops: vec![op] };
+            svc.handle_update(&request);
+            let scratch = fixpoint(svc.base_graph(), Reasoner::default());
+            prop_assert_eq!(svc.dataset(), &scratch, "after {:?}", request.ops);
+            prop_assert_eq!(svc.inferred, scratch.len() - svc.base_graph().len());
+        }
+    }
+}
+
+/// A transitive chain i30 → … → i34 whose property's domain sits under a
+/// subclass edge: cutting an edge retracts closure pairs and types that
+/// lie more than one rule step away from the cut.
+fn add_chain(base: &mut Graph) {
+    let chain = Term::iri("urn:tax#chain");
+    let start = Term::iri("urn:tax#ChainStart");
+    base.add(
+        chain.clone(),
+        Term::iri(rdf::TYPE),
+        Term::iri(owl::TRANSITIVE_PROPERTY),
+    );
+    base.add(chain.clone(), Term::iri(rdfs::DOMAIN), start.clone());
+    base.add(start, Term::iri(rdfs::SUB_CLASS_OF), class(0));
+    for i in 30..34 {
+        base.add(instance(i), chain.clone(), instance(i + 1));
+    }
+}
+
+/// Give `t` a second derivation in `base`: an instance typed with a fresh
+/// subclass of `t`'s class, or linked by a fresh subproperty of `t`'s
+/// property.
+fn add_alias(base: &mut Graph, t: &Triple, k: usize) {
+    let alias = Term::iri(&format!("urn:tax#alias{k}"));
+    if t.predicate.as_iri() == Some(rdf::TYPE) {
+        base.add(
+            alias.clone(),
+            Term::iri(rdfs::SUB_CLASS_OF),
+            t.object.clone(),
+        );
+        base.add(t.subject.clone(), t.predicate.clone(), alias);
+    } else {
+        base.add(
+            alias.clone(),
+            Term::iri(rdfs::SUB_PROPERTY_OF),
+            t.predicate.clone(),
+        );
+        base.add(t.subject.clone(), alias, t.object.clone());
     }
 }

@@ -9,7 +9,10 @@
 //!   row a faulty service returns is a row the reference service returns;
 //! * every request produces exactly one audit entry, success or failure;
 //! * after faults stop and the breaker cooldown elapses, the breaker is
-//!   no longer open and the service can recover.
+//!   no longer open and the service can recover;
+//! * an update batch that deletes, whatever fails or stalls while it is
+//!   maintained, leaves the served dataset either rebuilt (the fixpoint
+//!   of the base) or degraded (the base itself) — never half-maintained.
 //!
 //! Everything is deterministic: time is manual, fault decisions are pure
 //! functions of `(seed, stage, sequence)`, and no wall sleeps occur.
@@ -23,13 +26,17 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use grdf::feature::{encode_feature, Feature};
-use grdf::rdf::vocab::grdf as ns;
+use grdf::owl::reasoner::{Edit, Maintenance, Reasoner};
+use grdf::rdf::term::{Term, Triple};
+use grdf::rdf::vocab::{grdf as ns, owl, rdf, rdfs};
 use grdf::rdf::Graph;
-use grdf::runtime::{Budget, Clock, ManualClock, SeedTree};
-use grdf::security::gsacs::{ClientRequest, GSacs, OwlHorstEngine, ReasoningEngine};
-use grdf::security::policy::{Policy, PolicySet};
+use grdf::runtime::{Budget, Clock, Deadline, ManualClock, SeedTree};
+use grdf::security::gsacs::{
+    ClientRequest, GSacs, OwlHorstEngine, ReasoningEngine, UpdateOp, UpdateRequest,
+};
+use grdf::security::policy::{Action, Policy, PolicySet};
 use grdf::security::resilience::{
-    BreakerState, FaultPlan, FaultyEngine, GsacsError, ResilienceConfig,
+    BreakerState, EngineError, FaultPlan, FaultyEngine, GsacsError, ResilienceConfig,
 };
 
 fn incident_data() -> Graph {
@@ -234,6 +241,150 @@ proptest! {
             }
         }
         prop_assert_eq!(a.is_degraded(), b.is_degraded());
+    }
+}
+
+/// An engine whose incremental attempt gives up midway: it drops the
+/// removed assertions, leaves everything they supported in place, and
+/// reports a failure.
+struct HalfMaintaining;
+
+impl ReasoningEngine for HalfMaintaining {
+    fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError> {
+        OwlHorstEngine::default().materialize(graph, deadline)
+    }
+
+    fn maintain(
+        &self,
+        graph: &mut Graph,
+        edit: &Edit<'_>,
+        _deadline: &Deadline,
+    ) -> Result<Maintenance, EngineError> {
+        for t in edit.removed {
+            graph.remove(t);
+        }
+        Err(EngineError::Failed("gave up midway".to_string()))
+    }
+
+    fn name(&self) -> &'static str {
+        "half-maintaining"
+    }
+}
+
+/// Streams typed `Creek ⊑ Stream` in a transitive `flowsInto` chain, so
+/// deleting a type or an edge retracts entailments; the editor may edit
+/// and delete streams.
+fn stream_network() -> (Graph, PolicySet) {
+    let mut g = incident_data();
+    let iri = |s: &str| Term::iri(s);
+    g.add(
+        iri(&ns::app("Creek")),
+        iri(rdfs::SUB_CLASS_OF),
+        iri(&ns::app("Stream")),
+    );
+    g.add(
+        iri(&ns::app("flowsInto")),
+        iri(rdf::TYPE),
+        iri(owl::TRANSITIVE_PROPERTY),
+    );
+    for i in 0..6 {
+        let s = iri(&ns::app(&format!("creek{i}")));
+        g.add(s.clone(), iri(rdf::TYPE), iri(&ns::app("Creek")));
+        g.add(
+            s,
+            iri(&ns::app("flowsInto")),
+            iri(&ns::app(&format!("creek{}", i + 1))),
+        );
+    }
+    let mut policies = policies().policies;
+    for action in [Action::Edit, Action::Delete] {
+        policies.push(Policy {
+            action,
+            ..Policy::permit(
+                &format!("urn:p:{action:?}"),
+                "urn:role#editor",
+                &ns::app("Stream"),
+            )
+        });
+    }
+    (g, PolicySet::new(policies))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A fault, a stall or a midway failure while a delete batch is
+    /// maintained ends in the full rebuild or in degradation: after every
+    /// update the served dataset is the fixpoint of the base, or the base
+    /// itself while degraded.
+    fn faulty_delete_batches_end_rebuilt_or_degraded(
+        seed in any::<u64>(),
+        error_rate in 0.0f64..0.5,
+        latency_rate in 0.0f64..0.5,
+        midway in any::<bool>(),
+        picks in prop::collection::vec((0..6usize, 0..3usize), 1..10),
+    ) {
+        let clock = Arc::new(ManualClock::new());
+        let plan = Arc::new(FaultPlan::from_tree(
+            &SeedTree::from_env("GRDF_MASTER_SEED", 0xFA0175EED).child_n("resilience.delete", seed),
+            error_rate,
+            latency_rate,
+            Duration::from_millis(60),
+        ));
+        let inner: Box<dyn ReasoningEngine> = if midway {
+            Box::new(HalfMaintaining)
+        } else {
+            Box::<OwlHorstEngine>::default()
+        };
+        let config = ResilienceConfig {
+            clock: clock.clone(),
+            request_budget: Budget::with_time(Duration::from_millis(100)),
+            ..ResilienceConfig::default()
+        };
+        let (data, policies) = stream_network();
+        let mut svc = GSacs::with_resilience(
+            grdf::security::gsacs::OntoRepository::new(),
+            policies,
+            Box::new(FaultyEngine::new(inner, plan, clock.clone())),
+            data,
+            16,
+            config,
+        );
+        let creek = |i: usize| Term::iri(&ns::app(&format!("creek{i}")));
+        for (i, kind) in &picks {
+            let ops = match kind {
+                0 => vec![UpdateOp::Delete(Triple::new(
+                    creek(*i),
+                    Term::iri(rdf::TYPE),
+                    Term::iri(&ns::app("Creek")),
+                ))],
+                1 => vec![UpdateOp::Delete(Triple::new(
+                    creek(*i),
+                    Term::iri(&ns::app("flowsInto")),
+                    creek(i + 1),
+                ))],
+                // A correction: reroute the edge one creek further.
+                _ => vec![
+                    UpdateOp::Delete(Triple::new(
+                        creek(*i),
+                        Term::iri(&ns::app("flowsInto")),
+                        creek(i + 1),
+                    )),
+                    UpdateOp::Insert(Triple::new(
+                        creek(*i),
+                        Term::iri(&ns::app("flowsInto")),
+                        creek(i + 2),
+                    )),
+                ],
+            };
+            svc.handle_update(&UpdateRequest { role: "urn:role#editor".to_string(), ops });
+            let mut want = svc.base_graph().clone();
+            if !svc.is_degraded() {
+                Reasoner::default().materialize(&mut want);
+            }
+            prop_assert_eq!(svc.dataset(), &want, "degraded: {}", svc.is_degraded());
+            clock.advance(ResilienceConfig::default().breaker.cooldown);
+        }
     }
 }
 

@@ -10,7 +10,9 @@
 //!    `grdf-cli sim --seed`.
 //! 3. **The harness catches planted bugs** — acknowledging an update
 //!    without its WAL append (`Bug::AckWithoutWal`) is detected by the
-//!    durability oracle and shrinks to a locally-minimal schedule.
+//!    durability oracle, and retracting a deleted note but not the site
+//!    type it entailed (`Bug::StaleEntailment`) by the materialization
+//!    oracle; both shrink to a locally-minimal schedule.
 //!
 //! `GRDF_MASTER_SEED` overrides the base seed of the sweep (decimal or
 //! `0x`-hex), so a failing CI seed replays locally verbatim:
@@ -165,4 +167,38 @@ fn planted_ack_without_wal_bug_is_caught_and_shrunk() {
         "minimal counterexample must keep a kill-recover: {:?}",
         shrunk.kept
     );
+}
+
+#[test]
+fn planted_stale_entailment_bug_is_caught_and_shrunk() {
+    let (base, _) = sweep();
+    // Scan a few seeds for a schedule that deletes a site's last note —
+    // the shape that leaves the planted bug's stale type behind.
+    let mut caught = None;
+    for i in 0..16u64 {
+        let seed = base.wrapping_add(0x3000 + i);
+        let mut config = SimConfig::new(seed, 80);
+        config.bug = Some(Bug::StaleEntailment);
+        let report = run(&config);
+        if !report.passed() {
+            assert!(
+                report.violations.iter().all(|v| v.oracle == "materialized"),
+                "seed {seed:#x}: bug fired outside the materialization oracle: {:?}",
+                report.violations
+            );
+            caught = Some(config);
+            break;
+        }
+    }
+    let config = caught.expect("no seed in the scan window exposed the planted bug");
+    assert!(
+        run(&SimConfig::new(config.master_seed, config.steps)).passed(),
+        "schedule fails even without the planted bug"
+    );
+    let shrunk = shrink_seed(&config).expect("failing run must shrink");
+    assert!(shrunk
+        .report
+        .violations
+        .iter()
+        .any(|v| v.oracle == "materialized"));
 }

@@ -68,6 +68,10 @@ fn policies() -> PolicySet {
             action: Action::Edit,
             ..Policy::permit(&ns::sec("H2"), &ns::sec("Hazmat"), &ns::app("ChemSite"))
         },
+        Policy {
+            action: Action::Delete,
+            ..Policy::permit(&ns::sec("H3"), &ns::sec("Hazmat"), &ns::app("ChemSite"))
+        },
     ])
 }
 
@@ -317,13 +321,14 @@ fn concurrent_workload_keeps_service_registry_coherent() {
     );
 }
 
-/// Concurrent readers interleaved with sequential additive writes: every
-/// additive update must take the incremental materialization path (counter
-/// and span, never a full rebuild) and patch the labels from its delta
+/// Concurrent readers interleaved with sequential writes that alternate
+/// inserts and corrections (delete + insert): every update, deletes
+/// included, must take the incremental maintenance path (counter and
+/// span, never a full rebuild) and patch the labels from what changed
 /// rather than recompiling them.
 #[test]
-fn additive_updates_under_read_pressure_stay_incremental() {
-    const ROUNDS: usize = 5;
+fn updates_under_read_pressure_stay_incremental() {
+    const ROUNDS: usize = 6;
     let obs = grdf::obs::Obs::with_tracing(1024);
     let config = ResilienceConfig {
         obs: obs.clone(),
@@ -331,6 +336,13 @@ fn additive_updates_under_read_pressure_stay_incremental() {
     };
     let mut svc = build_service(32, config);
     let qs = queries();
+    let note = |round: usize| {
+        Triple::new(
+            Term::iri(&ns::app(&format!("site{}", round / 2))),
+            Term::iri(&ns::app("hasInspectionNote")),
+            Term::string(&format!("round {round}")),
+        )
+    };
 
     for round in 0..ROUNDS {
         // Phase A: concurrent readers warm every role's view and query
@@ -351,17 +363,19 @@ fn additive_updates_under_read_pressure_stay_incremental() {
                 });
             }
         });
-        // Phase B: one authorized additive write touching only a ChemSite
-        // instance; the delta path must handle it without a rebuild.
+        // Phase B: one authorized write touching only a ChemSite
+        // instance — an insert, or a correction replacing the previous
+        // round's note; the delta path must handle it without a rebuild.
+        let mut ops = vec![UpdateOp::Insert(note(round))];
+        if round % 2 == 1 {
+            ops.insert(0, UpdateOp::Delete(note(round - 1)));
+        }
+        let changed = ops.len();
         let out = svc.handle_update(&UpdateRequest {
             role: ns::sec("Hazmat"),
-            ops: vec![UpdateOp::Insert(Triple::new(
-                Term::iri(&ns::app(&format!("site{round}"))),
-                Term::iri(&ns::app("hasInspectionNote")),
-                Term::string(&format!("round {round}")),
-            ))],
+            ops,
         });
-        assert_eq!(out, UpdateOutcome::Applied(1));
+        assert_eq!(out, UpdateOutcome::Applied(changed));
     }
 
     // Every update took the incremental path; the full-rebuild path never
@@ -397,5 +411,15 @@ fn additive_updates_under_read_pressure_stay_incremental() {
     // Delta relabeling: no round recompiled the labels.
     for span in &spans {
         assert_eq!(span.tag("relabel"), Some("delta"));
+    }
+    // Each correction retracted the note it replaced.
+    let retracting = spans
+        .iter()
+        .filter(|span| span.tag("retracted") != Some("0"))
+        .count();
+    assert_eq!(retracting, ROUNDS / 2);
+    for round in (0..ROUNDS).step_by(2) {
+        assert!(!svc.dataset().contains(&note(round)));
+        assert!(svc.dataset().contains(&note(round + 1)));
     }
 }
