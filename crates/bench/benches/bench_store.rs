@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use grdf_bench::{incident_graph, incident_graph_scaled, scenario_policies};
-use grdf_owl::reasoner::{Reasoner, Strategy};
+use grdf_owl::reasoner::Reasoner;
 use grdf_rdf::codec::{decode_graph, encode_graph};
 use grdf_rdf::graph::Graph;
 use grdf_security::policy_set_graph;
@@ -148,10 +148,7 @@ fn bench_checkpoint_and_recovery(
 
     // Recovery arm: open the store on a fresh backend (as a restarted
     // process would) and re-materialize the recovered base.
-    let reasoner = Reasoner {
-        strategy: Strategy::SemiNaive,
-        ..Reasoner::default()
-    };
+    let reasoner = Reasoner::default();
     let start = Instant::now();
     let (_store, recovered) =
         DurableStore::open(dir.backend(), StoreConfig::default()).expect("recover");

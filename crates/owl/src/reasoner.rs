@@ -6,17 +6,25 @@
 //! "logical inference" capability the paper claims as GRDF's main advantage
 //! over GML (§1, §9).
 //!
-//! Two evaluation strategies compute the same fixpoint:
+//! There is one rule set, and it runs in interned-id space. A pass joins a
+//! *chunk* of triples against the full graph: every rule instance with a
+//! premise in the chunk proposes its conclusion. The rules no single
+//! triple can drive (`owl:sameAs` cliques, boolean classes, a restriction
+//! whose declaration changed) re-run over the whole graph when the pass's
+//! *triggers* name them. Two drivers run that one pass body:
 //!
-//! * [`Strategy::Naive`] — every pass re-joins *full × full*: all rules
-//!   scan the entire graph, and [`Schema`] is re-collected from scratch.
-//!   Kept as the reference engine (and a benchmark baseline).
-//! * [`Strategy::SemiNaive`] (default) — pass 1 seeds a *delta* with the
-//!   whole graph; each later pass joins only *delta × full*, where the
-//!   delta is exactly the triples the previous pass derived. The schema
-//!   index is maintained incrementally by absorbing each delta instead of
-//!   being re-collected, so the result is the same triple set as the
-//!   naive engine's.
+//! * [`Reasoner::materialize`] (semi-naive) — pass 1 takes the whole graph
+//!   as its chunk; each later pass takes only the *delta*, the triples the
+//!   previous pass derived. The schema index absorbs each delta
+//!   incrementally, and the delta's triggers decide which clique-global
+//!   rules run.
+//! * [`Reasoner::materialize_naive`] (the reference for tests and
+//!   benchmarks) — every pass takes the whole graph as its chunk, a schema
+//!   index absorbed afresh and triggers that name every clique-global
+//!   rule. Sharing the rule bodies, it checks the semi-naive delta logic
+//!   (incremental absorption, triggers, delta × full coverage), not the
+//!   rules themselves; the unit tests below hold hand-written
+//!   expectations for those.
 //!
 //! The semi-naive engine also powers [`Reasoner::maintain`], which brings
 //! an already-materialized graph up to date with one batch of base edits:
@@ -29,7 +37,7 @@
 //! | group | rules |
 //! |-------|-------|
 //! | RDFS  | subClassOf/subPropertyOf transitivity, type inheritance, property inheritance, `rdfs:domain`, `rdfs:range` |
-//! | OWL   | `inverseOf`, `SymmetricProperty`, `TransitiveProperty`, `FunctionalProperty` → `sameAs`, `InverseFunctionalProperty` → `sameAs`, `equivalentClass`/`equivalentProperty`, `sameAs` closure + substitution |
+//! | OWL   | `inverseOf`, `SymmetricProperty`, `TransitiveProperty`, `FunctionalProperty` → `sameAs`, `InverseFunctionalProperty` → `sameAs`, `equivalentClass`/`equivalentProperty`, `sameAs` closure + substitution, `intersectionOf`/`unionOf` |
 //! | Restrictions | `hasValue` (both directions), `someValuesFrom`, `allValuesFrom` |
 
 use std::collections::{HashMap, HashSet};
@@ -48,21 +56,10 @@ pub struct ReasonerStats {
     pub inferred: usize,
     /// Triples *consumed* as the delta of each pass. For the semi-naive
     /// engine this is the seed size followed by each pass's fresh
-    /// derivations; for the naive engine it is the full graph size at the
-    /// start of every pass — the gap between the two is the work the
+    /// derivations; for the naive reference it is the full graph size at
+    /// the start of every pass — the gap between the two is the work the
     /// delta-driven engine avoids.
     pub delta_sizes: Vec<usize>,
-}
-
-/// How the fixpoint is evaluated. Both strategies produce the same triple
-/// set; they differ only in how much work each pass re-does.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Strategy {
-    /// Re-join full × full every pass (reference engine).
-    Naive,
-    /// Join delta × full; only newly derived triples are re-examined.
-    #[default]
-    SemiNaive,
 }
 
 /// Configurable forward-chaining reasoner.
@@ -77,8 +74,6 @@ pub struct Reasoner {
     pub restrictions: bool,
     /// Safety valve for the fixpoint loop.
     pub max_passes: usize,
-    /// Evaluation strategy.
-    pub strategy: Strategy,
 }
 
 impl Default for Reasoner {
@@ -88,7 +83,6 @@ impl Default for Reasoner {
             owl: true,
             restrictions: true,
             max_passes: 64,
-            strategy: Strategy::SemiNaive,
         }
     }
 }
@@ -139,14 +133,6 @@ impl Reasoner {
         }
     }
 
-    /// The reference full × full engine (benchmark baseline).
-    pub fn naive() -> Reasoner {
-        Reasoner {
-            strategy: Strategy::Naive,
-            ..Reasoner::default()
-        }
-    }
-
     /// Materialize all entailments into `graph`; returns statistics.
     pub fn materialize(&self, graph: &mut Graph) -> ReasonerStats {
         self.materialize_with_deadline(graph, &Deadline::never())
@@ -154,7 +140,7 @@ impl Reasoner {
     }
 
     /// Materialize under a cooperative deadline, polled once per fixpoint
-    /// pass (and once per [`DEADLINE_POLL_STRIDE`] delta triples inside
+    /// pass (and once per `DEADLINE_POLL_STRIDE` delta triples inside
     /// each pass). On expiry the graph is left with whatever entailments
     /// the completed passes added (each pass only adds sound inferences,
     /// so the graph stays consistent — merely under-materialized) and the
@@ -164,33 +150,62 @@ impl Reasoner {
         graph: &mut Graph,
         deadline: &Deadline,
     ) -> Result<ReasonerStats, DeadlineExceeded> {
-        match self.strategy {
-            Strategy::Naive => self.materialize_naive(graph, deadline),
-            Strategy::SemiNaive => {
-                // The whole fixpoint runs in interned-id space: rule joins
-                // dispatch on pre-resolved vocabulary ids, and proposals
-                // are id tuples merged without re-interning. Terms are
-                // only touched by the clique-global rules. The seed comes
-                // straight off the POS columns: the bulk first pass
-                // arrives predicate-grouped, so the rule pass dispatches
-                // per group without re-sorting ~the whole graph.
-                let voc = Voc::resolve(graph);
-                let mut schema = IdSchema::default();
-                let delta = graph.ids_by_predicate();
-                let triggers = schema.absorb(graph, &voc, &delta);
-                let maps = IdRestrictionMaps::build(&schema);
-                let mut stats = ReasonerStats::default();
-                self.fixpoint(
+        // The seed comes straight off the POS columns: the bulk first pass
+        // arrives predicate-grouped, so the rule pass dispatches per group
+        // without re-sorting ~the whole graph.
+        let voc = Voc::resolve(graph);
+        let mut schema = IdSchema::default();
+        let delta = graph.ids_by_predicate();
+        let triggers = schema.absorb(graph, &voc, &delta);
+        let maps = IdRestrictionMaps::build(&schema);
+        let mut stats = ReasonerStats::default();
+        self.fixpoint(
+            graph,
+            &voc,
+            &mut schema,
+            maps,
+            (delta, triggers),
+            &mut stats,
+            deadline,
+        )?;
+        emit_totals(&stats);
+        Ok(stats)
+    }
+
+    /// The reference fixpoint, for tests and benchmarks only: every pass
+    /// runs the pass body [`Reasoner::materialize`] runs, with the whole
+    /// graph as its chunk, a schema index absorbed afresh from it, and
+    /// triggers that name every clique-global rule (`owl:sameAs`, boolean
+    /// classes, every restriction). Its fixpoint must equal the
+    /// semi-naive one in no fewer passes; `delta_sizes` holds the whole
+    /// graph's size at the start of each pass.
+    pub fn materialize_naive(&self, graph: &mut Graph) -> ReasonerStats {
+        let voc = Voc::resolve(graph);
+        let mut stats = ReasonerStats::default();
+        loop {
+            let all = graph.ids_by_predicate();
+            let mut schema = IdSchema::default();
+            schema.absorb(graph, &voc, &all);
+            let maps = IdRestrictionMaps::build(&schema);
+            let every = Triggers {
+                same_as: true,
+                boolean: true,
+                dirty_restrictions: (0..schema.id_restrictions.len()).collect(),
+            };
+            let added = self
+                .pass(
                     graph,
                     &voc,
-                    &mut schema,
-                    maps,
-                    (delta, triggers),
+                    &schema,
+                    &maps,
+                    (&all, &every),
                     &mut stats,
-                    deadline,
-                )?;
+                    &Deadline::never(),
+                )
+                .expect("a never-expiring deadline cannot interrupt the fixpoint");
+            if added == 0 || stats.passes >= self.max_passes {
                 emit_totals(&stats);
-                Ok(stats)
+                return stats;
             }
         }
     }
@@ -236,9 +251,8 @@ impl Reasoner {
     /// 4. **forward-chain** from the re-derived triples and the inserts
     ///    with the semi-naive loop.
     ///
-    /// Always uses the semi-naive engine. Answers
-    /// [`Maintenance::Rebuild`], before touching the graph, when an
-    /// over-deleted triple is schema or feeds a clique-global rule (see
+    /// Answers [`Maintenance::Rebuild`], before touching the graph, when
+    /// an over-deleted triple is schema or feeds a clique-global rule (see
     /// [`Maintenance::Rebuild`]): those rules re-evaluate whole cliques,
     /// so no delta pass can say what they stop deriving. On deadline
     /// expiry the graph may be half-maintained; rematerialize it.
@@ -387,97 +401,12 @@ impl Reasoner {
     }
 
     // ------------------------------------------------------------------
-    // Naive engine (reference)
+    // The pass body and the semi-naive loop
     // ------------------------------------------------------------------
 
-    fn materialize_naive(
-        &self,
-        graph: &mut Graph,
-        deadline: &Deadline,
-    ) -> Result<ReasonerStats, DeadlineExceeded> {
-        let mut stats = ReasonerStats::default();
-        loop {
-            deadline.check()?;
-            stats.passes += 1;
-            stats.delta_sizes.push(graph.len());
-            let span = grdf_obs::span("reasoner.pass").tag("pass", stats.passes);
-            let additions = self.one_pass(graph);
-            // Absorb as one batch and leave the graph compacted: the
-            // naive engine rescans everything next pass, so one sorted
-            // merge now beats per-triple inserts plus merge-on-read for
-            // the rest of the fixpoint.
-            let added = graph.extend_triples_compacting(additions);
-            drop(span.tag("inferred", added));
-            stats.inferred += added;
-            if added == 0 || stats.passes >= self.max_passes {
-                emit_totals(&stats);
-                return Ok(stats);
-            }
-        }
-    }
-
-    fn one_pass(&self, g: &Graph) -> Vec<Triple> {
-        let mut out: Vec<Triple> = Vec::new();
-        let schema = Schema::collect(g);
-
-        // Count each rule's proposals (pre-dedup) under
-        // `reasoner.rule.<name>` so decision traces and `grdf-cli trace`
-        // can attribute fixpoint work to individual rules.
-        macro_rules! rule {
-            ($name:literal, $call:expr) => {{
-                let before = out.len();
-                $call;
-                grdf_obs::add(
-                    concat!("reasoner.rule.", $name),
-                    (out.len() - before) as u64,
-                );
-            }};
-        }
-
-        if self.rdfs {
-            rule!(
-                "subclass_transitivity",
-                rule_subclass_transitivity(g, &mut out)
-            );
-            rule!(
-                "type_inheritance",
-                rule_type_inheritance(g, &schema, &mut out)
-            );
-            rule!(
-                "subproperty_transitivity",
-                rule_subproperty_transitivity(g, &mut out)
-            );
-            rule!(
-                "property_inheritance",
-                rule_property_inheritance(g, &schema, &mut out)
-            );
-            rule!("domain_range", rule_domain_range(g, &schema, &mut out));
-        }
-        if self.owl {
-            rule!("equivalences", rule_equivalences(g, &mut out));
-            rule!("inverse", rule_inverse(g, &schema, &mut out));
-            rule!("symmetric", rule_symmetric(g, &schema, &mut out));
-            rule!("transitive", rule_transitive(g, &schema, &mut out));
-            rule!("functional", rule_functional(g, &schema, &mut out));
-            rule!("same_as", rule_same_as(g, &mut out));
-        }
-        if self.restrictions {
-            rule!("restrictions", rule_restrictions(g, &schema, &mut out));
-        }
-        if self.owl {
-            rule!("boolean_classes", rule_boolean_classes(g, &mut out));
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
-    // Semi-naive engine
-    // ------------------------------------------------------------------
-
-    /// The semi-naive loop from a seeded delta: each pass joins the delta
-    /// against the full graph, runs the clique-global rules the delta's
-    /// triggers ask for, and absorbs what it derived as the next delta.
-    /// `maps` must be built from `schema`.
+    /// The semi-naive loop from a seeded delta: each pass runs the pass
+    /// body on the delta and its triggers, then absorbs what it derived
+    /// as the next delta. `maps` must be built from `schema`.
     #[allow(clippy::too_many_arguments)]
     fn fixpoint(
         &self,
@@ -491,50 +420,17 @@ impl Reasoner {
     ) -> Result<(), DeadlineExceeded> {
         let mut pass = 0;
         loop {
-            deadline.check()?;
             pass += 1;
-            stats.passes += 1;
-            stats.delta_sizes.push(delta.len());
-            grdf_obs::observe("reasoner.delta.size", delta.len() as u64);
-            let span = grdf_obs::span("reasoner.pass")
-                .tag("pass", stats.passes)
-                .tag("delta", delta.len());
-            // Delta × full joins.
-            let (mut proposals, mut counts) =
-                self.delta_pass(graph, voc, schema, &maps, &delta, deadline)?;
-
-            // Clique-global rules can't be expressed as a join against one
-            // delta triple; they run sequentially in term space, gated by
-            // triggers the schema absorption detected in this delta. Their
-            // output terms all occur in the graph already, so the extra
-            // extend below interns nothing new.
-            let mut global_proposals: Vec<Triple> = Vec::new();
-            if self.owl && triggers.same_as {
-                let before = proposals.len();
-                rule_same_as_ids(graph, voc, &mut proposals);
-                counts.same_as += (proposals.len() - before) as u64;
-            }
-            if self.restrictions && !triggers.dirty_restrictions.is_empty() {
-                let before = global_proposals.len();
-                for &i in &triggers.dirty_restrictions {
-                    apply_restriction(graph, &schema.restrictions[i], &mut global_proposals);
-                }
-                counts.restrictions += (global_proposals.len() - before) as u64;
-            }
-            if self.owl && triggers.boolean {
-                let before = global_proposals.len();
-                rule_boolean_classes(graph, &mut global_proposals);
-                counts.boolean_classes += (global_proposals.len() - before) as u64;
-            }
-            counts.emit();
-
             let mark = graph.generation();
-            let mut added = graph.extend_ids(proposals);
-            if !global_proposals.is_empty() {
-                added += graph.extend_triples(global_proposals);
-            }
-            drop(span.tag("inferred", added));
-            stats.inferred += added;
+            let added = self.pass(
+                graph,
+                voc,
+                schema,
+                &maps,
+                (&delta, &triggers),
+                stats,
+                deadline,
+            )?;
             if added == 0 || pass >= self.max_passes {
                 return Ok(());
             }
@@ -549,6 +445,57 @@ impl Reasoner {
                 maps = IdRestrictionMaps::build(schema);
             }
         }
+    }
+
+    /// One fixpoint pass, the body both drivers share: the delta × full
+    /// joins over `chunk`, then the clique-global rules `triggers` names,
+    /// run over the whole graph, with every proposal merged in one
+    /// [`Graph::extend_ids`] batch. Returns the triples it added.
+    #[allow(clippy::too_many_arguments)]
+    fn pass(
+        &self,
+        graph: &mut Graph,
+        voc: &Voc,
+        schema: &IdSchema,
+        maps: &IdRestrictionMaps,
+        (chunk, triggers): (&[IdTriple], &Triggers),
+        stats: &mut ReasonerStats,
+        deadline: &Deadline,
+    ) -> Result<usize, DeadlineExceeded> {
+        deadline.check()?;
+        stats.passes += 1;
+        stats.delta_sizes.push(chunk.len());
+        grdf_obs::observe("reasoner.delta.size", chunk.len() as u64);
+        let span = grdf_obs::span("reasoner.pass")
+            .tag("pass", stats.passes)
+            .tag("delta", chunk.len());
+        let (mut out, mut counts) = self.delta_pass(graph, voc, schema, maps, chunk, deadline)?;
+
+        // Clique-global rules can't be expressed as a join against one
+        // chunk triple; they re-run over the whole graph when triggered.
+        if self.owl && triggers.same_as {
+            let before = out.len();
+            same_as_ids(graph, voc, &mut out);
+            counts.same_as += (out.len() - before) as u64;
+        }
+        if self.restrictions {
+            let before = out.len();
+            for &i in &triggers.dirty_restrictions {
+                restriction_over_ids(graph, voc, &schema.id_restrictions[i], &mut out);
+            }
+            counts.restrictions += (out.len() - before) as u64;
+        }
+        if self.owl && triggers.boolean {
+            let before = out.len();
+            boolean_classes_ids(graph, voc, &mut out);
+            counts.boolean_classes += (out.len() - before) as u64;
+        }
+        counts.emit();
+
+        let added = graph.extend_ids(out);
+        drop(span.tag("inferred", added));
+        stats.inferred += added;
+        Ok(added)
     }
 
     /// Apply every delta-aware rule variant to `chunk`. Each delta triple
@@ -895,8 +842,9 @@ impl Reasoner {
     }
 }
 
-/// Per-rule proposal counts from one pass of the semi-naive engine,
-/// mirroring the naive engine's `reasoner.rule.<name>` counters.
+/// Per-rule proposal counts (before dedup) from one pass, emitted as the
+/// `reasoner.rule.<name>` counters so decision traces and `grdf-cli
+/// trace` can attribute fixpoint work to individual rules.
 #[derive(Debug, Default, Clone, Copy)]
 struct RuleCounts {
     subclass_transitivity: u64,
@@ -951,56 +899,8 @@ impl RuleCounts {
     }
 }
 
-/// `owl:intersectionOf` / `owl:unionOf` semantics:
-///
-/// * intersection: members of every part are members of the intersection
-///   class, and vice versa (the class entails membership in every part —
-///   which also makes parts behave as superclasses);
-/// * union: members of any part are members of the union class.
-fn rule_boolean_classes(g: &Graph, out: &mut Vec<Triple>) {
-    let ty = Term::iri(rdf::TYPE);
-    g.for_each_match(None, Some(&Term::iri(owl::INTERSECTION_OF)), None, |decl| {
-        let class = decl.subject;
-        let Some(parts) = g.read_list(&decl.object) else {
-            return;
-        };
-        if parts.is_empty() {
-            return;
-        }
-        // x ∈ all parts ⇒ x ∈ class.
-        for candidate in g.subjects(&ty, &parts[0]) {
-            if parts[1..].iter().all(|p| g.has(&candidate, &ty, p))
-                && !g.has(&candidate, &ty, &class)
-            {
-                out.push(Triple::new(candidate, ty.clone(), class.clone()));
-            }
-        }
-        // x ∈ class ⇒ x ∈ every part.
-        g.for_each_match(None, Some(&ty), Some(&class), |t| {
-            for p in &parts {
-                if !g.has(&t.subject, &ty, p) {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), p.clone()));
-                }
-            }
-        });
-    });
-    g.for_each_match(None, Some(&Term::iri(owl::UNION_OF)), None, |decl| {
-        let class = decl.subject;
-        let Some(parts) = g.read_list(&decl.object) else {
-            return;
-        };
-        for p in &parts {
-            g.for_each_match(None, Some(&ty), Some(p), |t| {
-                if !g.has(&t.subject, &ty, &class) {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), class.clone()));
-                }
-            });
-        }
-    });
-}
-
 /// Clique-global rules the delta pass cannot run per-triple; detected per
-/// delta during schema absorption.
+/// delta during schema absorption (the naive reference names them all).
 #[derive(Debug, Default)]
 struct Triggers {
     /// The delta asserted a `sameAs` pair or touched a term already in a
@@ -1032,125 +932,8 @@ fn asserted_ids(g: &Graph, edit: &Edit<'_>, (s, p, o): IdTriple) -> bool {
     (edit.asserted)(g.term_of(s), g.term_of(p), g.term_of(o))
 }
 
-/// Schema triples indexed for fast rule application by the naive engine,
-/// which re-collects this from scratch every pass. The semi-naive engine
-/// maintains the id-keyed [`IdSchema`] incrementally instead.
-#[derive(Default)]
-struct Schema {
-    /// subclass → superclasses (direct).
-    sub_class: HashMap<Term, Vec<Term>>,
-    /// subproperty → superproperties (direct).
-    sub_prop: HashMap<Term, Vec<Term>>,
-    /// property → domain classes.
-    domain: HashMap<Term, Vec<Term>>,
-    /// property → range classes (object ranges only meaningfully typed).
-    range: HashMap<Term, Vec<Term>>,
-    /// property → inverse properties.
-    inverse: HashMap<Term, Vec<Term>>,
-    symmetric: HashSet<Term>,
-    transitive: HashSet<Term>,
-    functional: HashSet<Term>,
-    inverse_functional: HashSet<Term>,
-    /// Restriction node → (onProperty, detail).
-    restrictions: Vec<Restriction>,
-}
-
-struct Restriction {
-    node: Term,
-    property: Term,
-    kind: RKind,
-    /// Named classes declared as subclasses of the restriction.
-    subclasses: Vec<Term>,
-}
-
-enum RKind {
-    HasValue(Term),
-    SomeValuesFrom(Term),
-    AllValuesFrom(Term),
-}
-
-fn build_restriction(g: &Graph, node: &Term) -> Option<Restriction> {
-    if !g.has(node, &Term::iri(rdf::TYPE), &Term::iri(owl::RESTRICTION)) {
-        return None;
-    }
-    let property = g.object(node, &Term::iri(owl::ON_PROPERTY))?;
-    let kind = if let Some(v) = g.object(node, &Term::iri(owl::HAS_VALUE)) {
-        RKind::HasValue(v)
-    } else if let Some(c) = g.object(node, &Term::iri(owl::SOME_VALUES_FROM)) {
-        RKind::SomeValuesFrom(c)
-    } else {
-        RKind::AllValuesFrom(g.object(node, &Term::iri(owl::ALL_VALUES_FROM))?)
-    };
-    let subclasses = g.subjects(&Term::iri(rdfs::SUB_CLASS_OF), node);
-    Some(Restriction {
-        node: node.clone(),
-        property,
-        kind,
-        subclasses,
-    })
-}
-
-impl Schema {
-    fn collect(g: &Graph) -> Schema {
-        let mut s = Schema::default();
-        // Restriction nodes are recognized by their `rdf:type
-        // owl:Restriction` declaration ([`build_restriction`] requires it),
-        // so one candidate source covers every restriction in a full scan.
-        let mut candidates: Vec<Term> = Vec::new();
-        let mut candidate_set: HashSet<Term> = HashSet::new();
-        for t in g.iter() {
-            match t.predicate.as_iri() {
-                Some(rdfs::SUB_CLASS_OF) => {
-                    s.sub_class.entry(t.subject).or_default().push(t.object);
-                }
-                Some(rdfs::SUB_PROPERTY_OF) => {
-                    s.sub_prop.entry(t.subject).or_default().push(t.object);
-                }
-                Some(rdfs::DOMAIN) => {
-                    s.domain.entry(t.subject).or_default().push(t.object);
-                }
-                Some(rdfs::RANGE) => {
-                    s.range.entry(t.subject).or_default().push(t.object);
-                }
-                Some(owl::INVERSE_OF) => {
-                    s.inverse
-                        .entry(t.subject.clone())
-                        .or_default()
-                        .push(t.object.clone());
-                    s.inverse.entry(t.object).or_default().push(t.subject);
-                }
-                Some(rdf::TYPE) => match t.object.as_iri() {
-                    Some(owl::SYMMETRIC_PROPERTY) => {
-                        s.symmetric.insert(t.subject);
-                    }
-                    Some(owl::TRANSITIVE_PROPERTY) => {
-                        s.transitive.insert(t.subject);
-                    }
-                    Some(owl::FUNCTIONAL_PROPERTY) => {
-                        s.functional.insert(t.subject);
-                    }
-                    Some(owl::INVERSE_FUNCTIONAL_PROPERTY) => {
-                        s.inverse_functional.insert(t.subject);
-                    }
-                    Some(owl::RESTRICTION) if candidate_set.insert(t.subject.clone()) => {
-                        candidates.push(t.subject);
-                    }
-                    _ => {}
-                },
-                _ => {}
-            }
-        }
-        for node in candidates {
-            if let Some(r) = build_restriction(g, &node) {
-                s.restrictions.push(r);
-            }
-        }
-        s
-    }
-}
-
 // ---------------------------------------------------------------------
-// Id-space schema index (semi-naive engine)
+// Id-space schema index
 // ---------------------------------------------------------------------
 
 /// Sentinel for a vocabulary term the graph has never interned: ids are
@@ -1193,6 +976,7 @@ struct Voc {
     union_of: TermId,
     first: TermId,
     rest: TermId,
+    nil: TermId,
 }
 
 impl Voc {
@@ -1259,6 +1043,7 @@ impl Voc {
             union_of: id(g, owl::UNION_OF),
             first: id(g, rdf::FIRST),
             rest: id(g, rdf::REST),
+            nil: id(g, rdf::NIL),
         }
     }
 }
@@ -1284,23 +1069,20 @@ struct PredEntry {
     flags: u8,
 }
 
-/// The semi-naive engine's schema index, keyed by interned term id. The
+/// The rule pass's schema index, keyed by interned term id. The
 /// per-predicate and per-class tables are sparse hash maps: schema-bearing
 /// ids are a tiny fraction of a large graph's term space, and the
 /// predicate-grouped rule pass probes them once per *group*, so dense
 /// id-indexed vectors would spend more time zeroing `term_count` slots
-/// than the probes ever save. Maintained incrementally: each pass absorbs
-/// only that pass's delta. Restrictions are kept in term form too because
-/// the dirty-restriction re-runs share [`apply_restriction`] with the
-/// naive engine.
+/// than the probes ever save. The semi-naive loop maintains it
+/// incrementally: each pass absorbs only that pass's delta.
 #[derive(Default)]
 struct IdSchema {
     preds: HashMap<TermId, PredEntry>,
     /// subclass id → superclass ids (direct).
     class_supers: HashMap<TermId, Vec<TermId>>,
-    restrictions: Vec<Restriction>,
     id_restrictions: Vec<IdRestriction>,
-    /// Restriction node id → index into `restrictions`/`id_restrictions`.
+    /// Restriction node id → index into `id_restrictions`.
     restriction_index: HashMap<TermId, usize>,
     /// Ids appearing in any `sameAs` assertion (clique members).
     same_members: HashSet<TermId>,
@@ -1323,21 +1105,32 @@ enum IdRKind {
 }
 
 impl IdRestriction {
-    /// Every component term of a restriction occurs in a graph triple, so
-    /// it is interned; a failed lookup degrades to [`NO_TERM`] (matching
-    /// nothing) rather than panicking.
-    fn of(g: &Graph, r: &Restriction) -> IdRestriction {
-        let id = |t: &Term| g.term_id(t).unwrap_or(NO_TERM);
-        IdRestriction {
-            node: id(&r.node),
-            property: id(&r.property),
-            kind: match &r.kind {
-                RKind::HasValue(v) => IdRKind::HasValue(id(v)),
-                RKind::SomeValuesFrom(c) => IdRKind::SomeValuesFrom(id(c)),
-                RKind::AllValuesFrom(c) => IdRKind::AllValuesFrom(id(c)),
-            },
-            subclasses: r.subclasses.iter().map(id).collect(),
+    /// The restriction declared at `node`: `None` unless the node is
+    /// typed `owl:Restriction` and names its property and a filler
+    /// (`hasValue`, else `someValuesFrom`, else `allValuesFrom`; the
+    /// first object in index order where several are given).
+    fn read(g: &Graph, voc: &Voc, node: TermId) -> Option<IdRestriction> {
+        if !g.has_ids(node, voc.ty, voc.restriction) {
+            return None;
         }
+        let property = first_object(g, node, voc.on_property)?;
+        let kind = if let Some(v) = first_object(g, node, voc.has_value) {
+            IdRKind::HasValue(v)
+        } else if let Some(c) = first_object(g, node, voc.some_values_from) {
+            IdRKind::SomeValuesFrom(c)
+        } else {
+            IdRKind::AllValuesFrom(first_object(g, node, voc.all_values_from)?)
+        };
+        let mut subclasses = Vec::new();
+        g.for_each_match_ids(None, Some(voc.sub_class), Some(node), |c, _, _| {
+            subclasses.push(c);
+        });
+        Some(IdRestriction {
+            node,
+            property,
+            kind,
+            subclasses,
+        })
     }
 }
 
@@ -1397,7 +1190,7 @@ impl IdSchema {
                 );
             }
         }
-        self.finish_candidates(g, candidates, &mut trig);
+        self.finish_candidates(g, voc, candidates, &mut trig);
         trig
     }
 
@@ -1448,12 +1241,8 @@ impl IdSchema {
                 }
             } else if p == voc.intersection_of || p == voc.union_of {
                 self.boolean_relevant.insert(s);
-                if let Some(parts) = g.read_list(g.term_of(o)) {
-                    for part in parts {
-                        if let Some(part_id) = g.term_id(&part) {
-                            self.boolean_relevant.insert(part_id);
-                        }
-                    }
+                if let Some(parts) = read_list_ids(g, voc, o) {
+                    self.boolean_relevant.extend(parts);
                 }
                 trig.boolean = true;
             } else if p == voc.first || p == voc.rest {
@@ -1481,22 +1270,26 @@ impl IdSchema {
         }
     }
 
-    /// Materialize restriction candidates collected during absorption.
-    fn finish_candidates(&mut self, g: &Graph, candidates: Vec<TermId>, trig: &mut Triggers) {
+    /// Read the restriction candidates collected during absorption.
+    fn finish_candidates(
+        &mut self,
+        g: &Graph,
+        voc: &Voc,
+        candidates: Vec<TermId>,
+        trig: &mut Triggers,
+    ) {
         for node in candidates {
-            if let Some(r) = build_restriction(g, g.term_of(node)) {
-                let idr = IdRestriction::of(g, &r);
-                if let Some(&i) = self.restriction_index.get(&node) {
-                    self.restrictions[i] = r;
-                    self.id_restrictions[i] = idr;
-                    trig.dirty_restrictions.push(i);
+            if let Some(r) = IdRestriction::read(g, voc, node) {
+                let i = *self
+                    .restriction_index
+                    .entry(node)
+                    .or_insert(self.id_restrictions.len());
+                if i == self.id_restrictions.len() {
+                    self.id_restrictions.push(r);
                 } else {
-                    let i = self.restrictions.len();
-                    self.restrictions.push(r);
-                    self.id_restrictions.push(idr);
-                    self.restriction_index.insert(node, i);
-                    trig.dirty_restrictions.push(i);
+                    self.id_restrictions[i] = r;
                 }
+                trig.dirty_restrictions.push(i);
             }
         }
     }
@@ -1599,35 +1392,6 @@ fn is_xsd_class(c: &Term) -> bool {
         .is_some_and(|i| i.starts_with(grdf_rdf::vocab::xsd::NS))
 }
 
-fn rule_subclass_transitivity(g: &Graph, out: &mut Vec<Triple>) {
-    let p = Term::iri(rdfs::SUB_CLASS_OF);
-    transitivity_over(g, &p, out);
-}
-
-fn rule_subproperty_transitivity(g: &Graph, out: &mut Vec<Triple>) {
-    let p = Term::iri(rdfs::SUB_PROPERTY_OF);
-    transitivity_over(g, &p, out);
-}
-
-fn transitivity_over(g: &Graph, p: &Term, out: &mut Vec<Triple>) {
-    // (a p b), (b p c) → (a p c)
-    let mut edges: HashMap<Term, Vec<Term>> = HashMap::new();
-    g.for_each_match(None, Some(p), None, |t| {
-        edges.entry(t.subject).or_default().push(t.object);
-    });
-    for (a, bs) in &edges {
-        for b in bs {
-            if let Some(cs) = edges.get(b) {
-                for c in cs {
-                    if c != a && !g.has(a, p, c) {
-                        out.push(Triple::new(a.clone(), p.clone(), c.clone()));
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Delta step of `(a p b), (b p c) → (a p c)` for one new edge `(s, o)`:
 /// forward join through the new edge's object and backward join into its
 /// subject cover every pair the new edge participates in. Id inequality
@@ -1651,8 +1415,9 @@ fn delta_transitivity_ids(
     });
 }
 
-/// Id-space mirror of [`transitivity_over`], for dirty-property re-runs
-/// in the delta pass.
+/// One composition step of `(a p b), (b p c) → (a p c)` over every `p`
+/// edge in the graph: the re-run for a property whose
+/// `owl:TransitiveProperty` declaration arrives in the chunk.
 fn transitivity_over_ids(g: &Graph, p: TermId, out: &mut Vec<(TermId, TermId, TermId)>) {
     let mut edges: HashMap<TermId, Vec<TermId>> = HashMap::new();
     g.for_each_match_ids(None, Some(p), None, |s, _, o| {
@@ -1680,7 +1445,9 @@ fn inverse_over_ids(g: &Graph, p: TermId, q: TermId, out: &mut Vec<(TermId, Term
     });
 }
 
-/// Id-space mirror of [`symmetric_over`].
+/// Emit `(y p x)` for every `(x p y)` with a resource object: the re-run
+/// for a property whose `owl:SymmetricProperty` declaration arrives in
+/// the chunk.
 fn symmetric_over_ids(g: &Graph, p: TermId, out: &mut Vec<(TermId, TermId, TermId)>) {
     g.for_each_match_ids(None, Some(p), None, |s, _, o| {
         if g.term_of(o).is_resource() {
@@ -1689,7 +1456,9 @@ fn symmetric_over_ids(g: &Graph, p: TermId, out: &mut Vec<(TermId, TermId, TermI
     });
 }
 
-/// Id-space mirror of [`functional_over`].
+/// `owl:FunctionalProperty` over the whole graph: the resource objects
+/// one subject has through `p` are `owl:sameAs` (adjacent pairs in index
+/// order; the `sameAs` closure links the rest).
 fn functional_over_ids(g: &Graph, voc: &Voc, p: TermId, out: &mut Vec<(TermId, TermId, TermId)>) {
     let mut by_subject: HashMap<TermId, Vec<TermId>> = HashMap::new();
     g.for_each_match_ids(None, Some(p), None, |s, _, o| {
@@ -1706,7 +1475,9 @@ fn functional_over_ids(g: &Graph, voc: &Voc, p: TermId, out: &mut Vec<(TermId, T
     }
 }
 
-/// Id-space mirror of [`inverse_functional_over`].
+/// `owl:InverseFunctionalProperty` over the whole graph: the subjects
+/// that share an object through `p` are `owl:sameAs` (adjacent pairs in
+/// index order; the `sameAs` closure links the rest).
 fn inverse_functional_over_ids(
     g: &Graph,
     voc: &Voc,
@@ -1726,248 +1497,10 @@ fn inverse_functional_over_ids(
     }
 }
 
-fn rule_type_inheritance(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    let ty = Term::iri(rdf::TYPE);
-    g.for_each_match(None, Some(&ty), None, |t| {
-        if let Some(supers) = s.sub_class.get(&t.object) {
-            for sup in supers {
-                if !g.has(&t.subject, &ty, sup) {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), sup.clone()));
-                }
-            }
-        }
-    });
-}
-
-fn rule_property_inheritance(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for (p, supers) in &s.sub_prop {
-        g.for_each_match(None, Some(p), None, |t| {
-            for q in supers {
-                if !g.has(&t.subject, q, &t.object) {
-                    out.push(Triple::new(t.subject.clone(), q.clone(), t.object.clone()));
-                }
-            }
-        });
-    }
-}
-
-fn rule_domain_range(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    let ty = Term::iri(rdf::TYPE);
-    for (p, classes) in &s.domain {
-        g.for_each_match(None, Some(p), None, |t| {
-            for c in classes {
-                if !g.has(&t.subject, &ty, c) {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), c.clone()));
-                }
-            }
-        });
-    }
-    for (p, classes) in &s.range {
-        g.for_each_match(None, Some(p), None, |t| {
-            if !t.object.is_resource() {
-                return;
-            }
-            for c in classes {
-                // Datatype ranges aren't class memberships.
-                if is_xsd_class(c) {
-                    continue;
-                }
-                if !g.has(&t.object, &ty, c) {
-                    out.push(Triple::new(t.object.clone(), ty.clone(), c.clone()));
-                }
-            }
-        });
-    }
-}
-
-fn rule_equivalences(g: &Graph, out: &mut Vec<Triple>) {
-    let eqc = Term::iri(owl::EQUIVALENT_CLASS);
-    let sub = Term::iri(rdfs::SUB_CLASS_OF);
-    g.for_each_match(None, Some(&eqc), None, |t| {
-        for (s, o) in [(&t.subject, &t.object), (&t.object, &t.subject)] {
-            if o.is_resource() && !g.has(s, &sub, o) {
-                out.push(Triple::new(s.clone(), sub.clone(), o.clone()));
-            }
-        }
-    });
-    let eqp = Term::iri(owl::EQUIVALENT_PROPERTY);
-    let subp = Term::iri(rdfs::SUB_PROPERTY_OF);
-    g.for_each_match(None, Some(&eqp), None, |t| {
-        for (s, o) in [(&t.subject, &t.object), (&t.object, &t.subject)] {
-            if !g.has(s, &subp, o) {
-                out.push(Triple::new(s.clone(), subp.clone(), o.clone()));
-            }
-        }
-    });
-}
-
-fn rule_inverse(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for (p, qs) in &s.inverse {
-        g.for_each_match(None, Some(p), None, |t| {
-            if !t.object.is_resource() {
-                return;
-            }
-            for q in qs {
-                if !g.has(&t.object, q, &t.subject) {
-                    out.push(Triple::new(t.object.clone(), q.clone(), t.subject.clone()));
-                }
-            }
-        });
-    }
-}
-
-fn rule_symmetric(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for p in &s.symmetric {
-        symmetric_over(g, p, out);
-    }
-}
-
-fn symmetric_over(g: &Graph, p: &Term, out: &mut Vec<Triple>) {
-    g.for_each_match(None, Some(p), None, |t| {
-        if t.object.is_resource() && !g.has(&t.object, p, &t.subject) {
-            out.push(Triple::new(t.object.clone(), p.clone(), t.subject.clone()));
-        }
-    });
-}
-
-fn rule_transitive(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for p in &s.transitive {
-        transitivity_over(g, p, out);
-    }
-}
-
-fn rule_functional(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for p in &s.functional {
-        functional_over(g, p, out);
-    }
-    for p in &s.inverse_functional {
-        inverse_functional_over(g, p, out);
-    }
-}
-
-fn functional_over(g: &Graph, p: &Term, out: &mut Vec<Triple>) {
-    let same = Term::iri(owl::SAME_AS);
-    let mut by_subject: HashMap<Term, Vec<Term>> = HashMap::new();
-    g.for_each_match(None, Some(p), None, |t| {
-        if t.object.is_resource() {
-            by_subject.entry(t.subject).or_default().push(t.object);
-        }
-    });
-    for objs in by_subject.values() {
-        for pair in objs.windows(2) {
-            if pair[0] != pair[1] && !g.has(&pair[0], &same, &pair[1]) {
-                out.push(Triple::new(pair[0].clone(), same.clone(), pair[1].clone()));
-            }
-        }
-    }
-}
-
-fn inverse_functional_over(g: &Graph, p: &Term, out: &mut Vec<Triple>) {
-    let same = Term::iri(owl::SAME_AS);
-    let mut by_object: HashMap<Term, Vec<Term>> = HashMap::new();
-    g.for_each_match(None, Some(p), None, |t| {
-        by_object.entry(t.object).or_default().push(t.subject);
-    });
-    for subs in by_object.values() {
-        for pair in subs.windows(2) {
-            if pair[0] != pair[1] && !g.has(&pair[0], &same, &pair[1]) {
-                out.push(Triple::new(pair[0].clone(), same.clone(), pair[1].clone()));
-            }
-        }
-    }
-}
-
-fn rule_same_as(g: &Graph, out: &mut Vec<Triple>) {
-    let same = Term::iri(owl::SAME_AS);
-    // Union-find over sameAs assertions.
-    let mut parent: HashMap<Term, Term> = HashMap::new();
-    fn find(parent: &mut HashMap<Term, Term>, x: &Term) -> Term {
-        let p = parent.get(x).cloned();
-        match p {
-            None => x.clone(),
-            Some(p) if &p == x => x.clone(),
-            Some(p) => {
-                let root = find(parent, &p);
-                parent.insert(x.clone(), root.clone());
-                root
-            }
-        }
-    }
-    let mut members: HashMap<Term, Vec<Term>> = HashMap::new();
-    let mut pairs: Vec<(Term, Term)> = Vec::new();
-    g.for_each_match(None, Some(&same), None, |t| {
-        if t.object.is_resource() {
-            pairs.push((t.subject, t.object));
-        }
-    });
-    if pairs.is_empty() {
-        return;
-    }
-    for (a, b) in &pairs {
-        let ra = find(&mut parent, a);
-        let rb = find(&mut parent, b);
-        if ra != rb {
-            parent.insert(ra, rb);
-        }
-        parent.entry(a.clone()).or_insert_with(|| a.clone());
-        parent.entry(b.clone()).or_insert_with(|| b.clone());
-    }
-    let keys: Vec<Term> = parent.keys().cloned().collect();
-    for k in keys {
-        let r = find(&mut parent, &k);
-        members.entry(r).or_default().push(k);
-    }
-
-    for group in members.values() {
-        if group.len() < 2 {
-            continue;
-        }
-        // Emit the full sameAs clique (symmetry + transitivity).
-        for a in group {
-            for b in group {
-                if a != b && !g.has(a, &same, b) {
-                    out.push(Triple::new(a.clone(), same.clone(), b.clone()));
-                }
-            }
-        }
-        // Substitution: every triple mentioning a member holds for all.
-        for a in group {
-            g.for_each_match(Some(a), None, None, |t| {
-                if t.predicate.as_iri() == Some(owl::SAME_AS) {
-                    return;
-                }
-                for b in group {
-                    if b != a && !g.has(b, &t.predicate, &t.object) {
-                        out.push(Triple::new(
-                            b.clone(),
-                            t.predicate.clone(),
-                            t.object.clone(),
-                        ));
-                    }
-                }
-            });
-            g.for_each_match(None, None, Some(a), |t| {
-                if t.predicate.as_iri() == Some(owl::SAME_AS) {
-                    return;
-                }
-                for b in group {
-                    if b != a && !g.has(&t.subject, &t.predicate, b) {
-                        out.push(Triple::new(
-                            t.subject.clone(),
-                            t.predicate.clone(),
-                            b.clone(),
-                        ));
-                    }
-                }
-            });
-        }
-    }
-}
-
-/// Id-space mirror of [`rule_same_as`] for the semi-naive engine:
-/// union-find over interned ids, clique emission and substitution through
-/// the id-pattern scans, no term hashing or cloning.
-fn rule_same_as_ids(g: &Graph, voc: &Voc, out: &mut Vec<(TermId, TermId, TermId)>) {
+/// `owl:sameAs` closure and substitution over the whole graph: union-find
+/// over interned ids, then every clique emits its full `sameAs` square and
+/// copies each triple that mentions one member to every other member.
+fn same_as_ids(g: &Graph, voc: &Voc, out: &mut Vec<(TermId, TermId, TermId)>) {
     let mut pairs: Vec<(TermId, TermId)> = Vec::new();
     g.for_each_match_ids(None, Some(voc.same), None, |s, _, o| {
         if g.term_of(o).is_resource() {
@@ -2051,68 +1584,130 @@ fn rule_same_as_ids(g: &Graph, voc: &Voc, out: &mut Vec<(TermId, TermId, TermId)
     }
 }
 
-fn rule_restrictions(g: &Graph, s: &Schema, out: &mut Vec<Triple>) {
-    for r in &s.restrictions {
-        apply_restriction(g, r, out);
+/// `owl:intersectionOf` / `owl:unionOf` over the whole graph:
+///
+/// * intersection: members of every part are members of the intersection
+///   class, and vice versa (the class entails membership in every part —
+///   which also makes parts behave as superclasses);
+/// * union: members of any part are members of the union class.
+fn boolean_classes_ids(g: &Graph, voc: &Voc, out: &mut Vec<IdTriple>) {
+    g.for_each_match_ids(None, Some(voc.intersection_of), None, |class, _, head| {
+        let Some(parts) = read_list_ids(g, voc, head) else {
+            return;
+        };
+        let Some((&first, rest)) = parts.split_first() else {
+            return;
+        };
+        // x ∈ all parts ⇒ x ∈ class.
+        g.for_each_match_ids(None, Some(voc.ty), Some(first), |x, _, _| {
+            if rest.iter().all(|&part| g.has_ids(x, voc.ty, part)) {
+                out.push((x, voc.ty, class));
+            }
+        });
+        // x ∈ class ⇒ x ∈ every part.
+        g.for_each_match_ids(None, Some(voc.ty), Some(class), |x, _, _| {
+            for &part in &parts {
+                out.push((x, voc.ty, part));
+            }
+        });
+    });
+    g.for_each_match_ids(None, Some(voc.union_of), None, |class, _, head| {
+        let Some(parts) = read_list_ids(g, voc, head) else {
+            return;
+        };
+        for part in parts {
+            g.for_each_match_ids(None, Some(voc.ty), Some(part), |x, _, _| {
+                out.push((x, voc.ty, class));
+            });
+        }
+    });
+}
+
+/// One restriction over the whole graph: the re-run for a restriction
+/// whose declaration (node, property, filler or a subclass) arrives in the
+/// chunk, since the delta rules only join it with triples that arrive
+/// after it.
+fn restriction_over_ids(g: &Graph, voc: &Voc, r: &IdRestriction, out: &mut Vec<IdTriple>) {
+    match r.kind {
+        IdRKind::HasValue(v) => {
+            // x ∈ C (⊑ r) → x p v ; and x p v → x ∈ r.
+            for &c in r.subclasses.iter().chain(std::iter::once(&r.node)) {
+                g.for_each_match_ids(None, Some(voc.ty), Some(c), |x, _, _| {
+                    out.push((x, r.property, v));
+                });
+            }
+            g.for_each_match_ids(None, Some(r.property), Some(v), |x, _, _| {
+                out.push((x, voc.ty, r.node));
+            });
+        }
+        IdRKind::SomeValuesFrom(class) => {
+            // x p y ∧ y ∈ D → x ∈ r.
+            g.for_each_match_ids(None, Some(r.property), None, |x, _, y| {
+                if g.term_of(y).is_resource() && g.has_ids(y, voc.ty, class) {
+                    out.push((x, voc.ty, r.node));
+                }
+            });
+        }
+        IdRKind::AllValuesFrom(class) => {
+            // x ∈ r ∧ x p y → y ∈ D.
+            g.for_each_match_ids(None, Some(voc.ty), Some(r.node), |x, _, _| {
+                g.for_each_match_ids(Some(x), Some(r.property), None, |_, _, y| {
+                    if g.term_of(y).is_resource() {
+                        out.push((y, voc.ty, class));
+                    }
+                });
+            });
+        }
     }
 }
 
-fn apply_restriction(g: &Graph, r: &Restriction, out: &mut Vec<Triple>) {
-    let ty = Term::iri(rdf::TYPE);
-    match &r.kind {
-        RKind::HasValue(v) => {
-            // x ∈ C (⊑ r) → x p v ; and x p v → x ∈ r.
-            for c in r.subclasses.iter().chain(std::iter::once(&r.node)) {
-                g.for_each_match(None, Some(&ty), Some(c), |t| {
-                    if !g.has(&t.subject, &r.property, v) {
-                        out.push(Triple::new(
-                            t.subject.clone(),
-                            r.property.clone(),
-                            v.clone(),
-                        ));
-                    }
-                });
-            }
-            g.for_each_match(None, Some(&r.property), Some(v), |t| {
-                if !g.has(&t.subject, &ty, &r.node) {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), r.node.clone()));
-                }
-            });
+/// The first object of `(s, p, ?)` in index order — [`Graph::object`]
+/// in id space.
+fn first_object(g: &Graph, s: TermId, p: TermId) -> Option<TermId> {
+    let mut found = None;
+    g.for_each_match_ids_while(Some(s), Some(p), None, |_, _, o| {
+        found = Some(o);
+        false
+    });
+    found
+}
+
+/// The members of the RDF list at `head`, walked through `rdf:first` /
+/// `rdf:rest` in id space: `None` on a malformed or cyclic list, as
+/// [`Graph::read_list`] answers.
+fn read_list_ids(g: &Graph, voc: &Voc, head: TermId) -> Option<Vec<TermId>> {
+    let mut out = Vec::new();
+    let mut seen = HashSet::new();
+    let mut cur = head;
+    while cur != voc.nil {
+        if !seen.insert(cur) {
+            return None; // cycle
         }
-        RKind::SomeValuesFrom(class) => {
-            // x p y ∧ y ∈ D → x ∈ r.
-            g.for_each_match(None, Some(&r.property), None, |t| {
-                if t.object.is_resource()
-                    && g.has(&t.object, &ty, class)
-                    && !g.has(&t.subject, &ty, &r.node)
-                {
-                    out.push(Triple::new(t.subject.clone(), ty.clone(), r.node.clone()));
-                }
-            });
-        }
-        RKind::AllValuesFrom(class) => {
-            // x ∈ r ∧ x p y → y ∈ D.
-            g.for_each_match(None, Some(&ty), Some(&r.node), |t| {
-                for y in g.objects(&t.subject, &r.property) {
-                    if y.is_resource() && !g.has(&y, &ty, class) {
-                        out.push(Triple::new(y, ty.clone(), class.clone()));
-                    }
-                }
-            });
-        }
+        out.push(first_object(g, cur, voc.first)?);
+        cur = first_object(g, cur, voc.rest)?;
     }
+    Some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{Characteristic, OntologyBuilder, RestrictionKind};
+    use std::collections::BTreeSet;
 
     fn iri(s: &str) -> Term {
         Term::iri(s)
     }
     fn ty() -> Term {
         Term::iri(rdf::TYPE)
+    }
+    fn t(s: &str, p: &str, o: &str) -> Triple {
+        Triple::new(iri(s), iri(p), iri(o))
+    }
+
+    /// The triples `g` holds beyond those of `before`.
+    fn added(before: &Graph, g: &Graph) -> BTreeSet<Triple> {
+        g.iter().filter(|t| !before.contains(t)).collect()
     }
 
     #[test]
@@ -2204,7 +1799,7 @@ mod tests {
     }
 
     #[test]
-    fn functional_property_derives_same_as_and_smushes() {
+    fn inverse_functional_property_derives_same_as_and_smushes() {
         let mut b = OntologyBuilder::new("urn:t#");
         b.object_property("hasSiteId", None, None);
         b.characteristic("hasSiteId", Characteristic::InverseFunctional);
@@ -2232,6 +1827,110 @@ mod tests {
             &iri("urn:t#siteB"),
             &iri("urn:t#name"),
             &Term::string("NT Energy")
+        ));
+    }
+
+    #[test]
+    fn functional_property_derives_same_as_and_smushes() {
+        let mut g = Graph::new();
+        g.add(iri("urn:t#mainSite"), ty(), iri(owl::FUNCTIONAL_PROPERTY));
+        // Two records of one plant's main site.
+        g.add(
+            iri("urn:t#plant"),
+            iri("urn:t#mainSite"),
+            iri("urn:t#siteA"),
+        );
+        g.add(
+            iri("urn:t#plant"),
+            iri("urn:t#mainSite"),
+            iri("urn:t#siteB"),
+        );
+        g.add(
+            iri("urn:t#siteA"),
+            iri("urn:t#name"),
+            Term::string("NT Energy"),
+        );
+        // Two plants sharing a main site are not thereby the same.
+        g.add(iri("urn:t#p1"), iri("urn:t#mainSite"), iri("urn:t#siteC"));
+        g.add(iri("urn:t#p2"), iri("urn:t#mainSite"), iri("urn:t#siteC"));
+        let before = g.clone();
+        Reasoner::default().materialize(&mut g);
+        assert_eq!(
+            added(&before, &g),
+            BTreeSet::from([
+                t("urn:t#siteA", owl::SAME_AS, "urn:t#siteB"),
+                t("urn:t#siteB", owl::SAME_AS, "urn:t#siteA"),
+                // Substitution carries the name to the other record.
+                Triple::new(
+                    iri("urn:t#siteB"),
+                    iri("urn:t#name"),
+                    Term::string("NT Energy")
+                ),
+            ])
+        );
+        assert!(!g.has(&iri("urn:t#p1"), &iri(owl::SAME_AS), &iri("urn:t#p2")));
+    }
+
+    #[test]
+    fn equivalent_property_gives_mutual_subproperties() {
+        let mut g = Graph::new();
+        g.add(
+            iri("urn:t#flowsInto"),
+            iri(owl::EQUIVALENT_PROPERTY),
+            iri("urn:t#drainsTo"),
+        );
+        g.add(iri("urn:t#a"), iri("urn:t#flowsInto"), iri("urn:t#b"));
+        g.add(iri("urn:t#c"), iri("urn:t#drainsTo"), iri("urn:t#d"));
+        let before = g.clone();
+        Reasoner::default().materialize(&mut g);
+        assert_eq!(
+            added(&before, &g),
+            BTreeSet::from([
+                t("urn:t#flowsInto", rdfs::SUB_PROPERTY_OF, "urn:t#drainsTo"),
+                t("urn:t#drainsTo", rdfs::SUB_PROPERTY_OF, "urn:t#flowsInto"),
+                t("urn:t#a", "urn:t#drainsTo", "urn:t#b"),
+                t("urn:t#c", "urn:t#flowsInto", "urn:t#d"),
+            ])
+        );
+        assert!(!g.has(&iri("urn:t#b"), &iri("urn:t#drainsTo"), &iri("urn:t#a")));
+    }
+
+    #[test]
+    fn subproperty_chains_close_transitively() {
+        let mut g = Graph::new();
+        for (p, q) in [
+            ("hasMother", "hasParent"),
+            ("hasParent", "hasRelative"),
+            ("hasRelative", "knows"),
+        ] {
+            g.add(
+                iri(&format!("urn:t#{p}")),
+                iri(rdfs::SUB_PROPERTY_OF),
+                iri(&format!("urn:t#{q}")),
+            );
+        }
+        g.add(iri("urn:t#ann"), iri("urn:t#hasMother"), iri("urn:t#beth"));
+        let before = g.clone();
+        Reasoner::default().materialize(&mut g);
+        assert_eq!(
+            added(&before, &g),
+            BTreeSet::from([
+                t(
+                    "urn:t#hasMother",
+                    rdfs::SUB_PROPERTY_OF,
+                    "urn:t#hasRelative"
+                ),
+                t("urn:t#hasMother", rdfs::SUB_PROPERTY_OF, "urn:t#knows"),
+                t("urn:t#hasParent", rdfs::SUB_PROPERTY_OF, "urn:t#knows"),
+                t("urn:t#ann", "urn:t#hasParent", "urn:t#beth"),
+                t("urn:t#ann", "urn:t#hasRelative", "urn:t#beth"),
+                t("urn:t#ann", "urn:t#knows", "urn:t#beth"),
+            ])
+        );
+        assert!(!g.has(
+            &iri("urn:t#hasRelative"),
+            &iri(rdfs::SUB_PROPERTY_OF),
+            &iri("urn:t#hasMother")
         ));
     }
 
@@ -2459,7 +2158,7 @@ mod tests {
     fn semi_naive_matches_naive_fixpoint() {
         let mut naive = kitchen_sink();
         let mut semi = kitchen_sink();
-        let naive_stats = Reasoner::naive().materialize(&mut naive);
+        let naive_stats = Reasoner::default().materialize_naive(&mut naive);
         let semi_stats = Reasoner::default().materialize(&mut semi);
         assert_eq!(naive, semi, "both engines must reach the same fixpoint");
         assert_eq!(naive_stats.inferred, semi_stats.inferred);
@@ -2544,6 +2243,113 @@ mod tests {
             g.has(&iri("urn:t#plant"), &ty(), &r),
             "pre-existing instance data must meet the late restriction"
         );
+    }
+
+    #[test]
+    fn boolean_classes_declared_late_apply_through_the_delta_path() {
+        let mut g = Graph::new();
+        for (x, c) in [
+            ("creek", "Stream"),
+            ("pond", "Lake"),
+            ("rock", "Outcrop"),
+            ("p1", "Hazardous"),
+            ("p1", "Riverside"),
+            ("p2", "Hazardous"),
+        ] {
+            g.add(iri(&format!("urn:t#{x}")), ty(), iri(&format!("urn:t#{c}")));
+        }
+        let reasoner = Reasoner::default();
+        reasoner.materialize(&mut g);
+        let mark = g.generation();
+        // Both class expressions arrive as an update.
+        let water = g.write_list(&[iri("urn:t#Stream"), iri("urn:t#Lake")]);
+        g.add(iri("urn:t#WaterBody"), iri(owl::UNION_OF), water);
+        let parts = g.write_list(&[iri("urn:t#Hazardous"), iri("urn:t#Riverside")]);
+        g.add(
+            iri("urn:t#HazardousRiverside"),
+            iri(owl::INTERSECTION_OF),
+            parts,
+        );
+        let declared = g.clone();
+        reasoner
+            .materialize_delta(&mut g, mark, &Deadline::never())
+            .unwrap();
+        assert_eq!(
+            added(&declared, &g),
+            BTreeSet::from([
+                t("urn:t#creek", rdf::TYPE, "urn:t#WaterBody"),
+                t("urn:t#pond", rdf::TYPE, "urn:t#WaterBody"),
+                t("urn:t#p1", rdf::TYPE, "urn:t#HazardousRiverside"),
+            ])
+        );
+        assert!(!g.has(&iri("urn:t#rock"), &ty(), &iri("urn:t#WaterBody")));
+        assert!(!g.has(&iri("urn:t#p2"), &ty(), &iri("urn:t#HazardousRiverside")));
+    }
+
+    #[test]
+    fn value_restrictions_declared_late_apply_through_the_delta_path() {
+        let mut g = Graph::new();
+        g.add(iri("urn:t#s1"), ty(), iri("urn:t#TexasSite"));
+        g.add(iri("urn:t#s2"), iri("urn:t#inState"), iri("urn:t#texas"));
+        g.add(iri("urn:t#net"), ty(), iri("urn:t#StreamNetwork"));
+        g.add(iri("urn:t#net"), iri("urn:t#hasMember"), iri("urn:t#m1"));
+        g.add(
+            iri("urn:t#net"),
+            iri("urn:t#hasMember"),
+            Term::string("unnamed reach"),
+        );
+        let reasoner = Reasoner::default();
+        reasoner.materialize(&mut g);
+        let mark = g.generation();
+        // A hasValue and an allValuesFrom restriction arrive as an update.
+        let in_texas = Term::blank("inTexas");
+        g.add(in_texas.clone(), ty(), iri(owl::RESTRICTION));
+        g.add(
+            in_texas.clone(),
+            iri(owl::ON_PROPERTY),
+            iri("urn:t#inState"),
+        );
+        g.add(in_texas.clone(), iri(owl::HAS_VALUE), iri("urn:t#texas"));
+        g.add(
+            iri("urn:t#TexasSite"),
+            iri(rdfs::SUB_CLASS_OF),
+            in_texas.clone(),
+        );
+        let only_streams = Term::blank("onlyStreams");
+        g.add(only_streams.clone(), ty(), iri(owl::RESTRICTION));
+        g.add(
+            only_streams.clone(),
+            iri(owl::ON_PROPERTY),
+            iri("urn:t#hasMember"),
+        );
+        g.add(
+            only_streams.clone(),
+            iri(owl::ALL_VALUES_FROM),
+            iri("urn:t#Stream"),
+        );
+        g.add(
+            iri("urn:t#StreamNetwork"),
+            iri(rdfs::SUB_CLASS_OF),
+            only_streams.clone(),
+        );
+        let declared = g.clone();
+        reasoner
+            .materialize_delta(&mut g, mark, &Deadline::never())
+            .unwrap();
+        assert_eq!(
+            added(&declared, &g),
+            BTreeSet::from([
+                Triple::new(iri("urn:t#s1"), ty(), in_texas.clone()),
+                t("urn:t#s1", "urn:t#inState", "urn:t#texas"),
+                // Only the restriction's re-run reaches s2: its value
+                // edge is older than the declaration.
+                Triple::new(iri("urn:t#s2"), ty(), in_texas),
+                Triple::new(iri("urn:t#net"), ty(), only_streams),
+                t("urn:t#m1", rdf::TYPE, "urn:t#Stream"),
+            ])
+        );
+        assert!(!g.has(&Term::string("unnamed reach"), &ty(), &iri("urn:t#Stream")));
+        assert!(!g.has(&iri("urn:t#s2"), &ty(), &iri("urn:t#TexasSite")));
     }
 
     /// Retract `removed` from the base of a materialized `base` through

@@ -725,55 +725,6 @@ fn eval_pattern(
     }
 }
 
-/// Cardinality-driven greedy join order. Each candidate pattern is scored
-/// with [`Graph::estimate`] over its constant positions (an exact count
-/// from the index, not a heuristic), and the planner repeatedly picks the
-/// cheapest pattern — preferring ones connected to an already-bound
-/// variable so the join stays a chain of index probes instead of a cross
-/// product. Variables bound by earlier patterns count as connections but
-/// not as constants: their values aren't known at plan time. The choice
-/// depends only on the pattern set, the initially bound variables, and
-/// index statistics, so planning is a pure (and separately timed) phase
-/// ahead of the join loop.
-fn plan_bgp<'a>(
-    graph: &Graph,
-    triples: &'a [TriplePattern],
-    mut bound_vars: HashSet<String>,
-) -> Vec<&'a TriplePattern> {
-    fn constant(t: &TermOrVar) -> Option<&Term> {
-        match t {
-            TermOrVar::Term(term) => Some(term),
-            TermOrVar::Var(_) => None,
-        }
-    }
-    let mut remaining: Vec<&TriplePattern> = triples.iter().collect();
-    let mut order = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let (idx, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let cardinality = graph.estimate(
-                    constant(&t.subject),
-                    constant(&t.predicate),
-                    constant(&t.object),
-                );
-                let connected = t.variables().iter().any(|v| bound_vars.contains(*v));
-                // Disconnected patterns sort after connected ones; ties
-                // break on estimated cardinality, then input order.
-                (i, (!connected, cardinality))
-            })
-            .min_by_key(|&(_, key)| key)
-            .expect("non-empty");
-        let pattern = remaining.remove(idx);
-        for v in pattern.variables() {
-            bound_vars.insert(v.to_string());
-        }
-        order.push(pattern);
-    }
-    order
-}
-
 fn eval_bgp(
     src: &Source<'_>,
     triples: &[TriplePattern],
@@ -794,20 +745,18 @@ fn eval_bgp(
         .first()
         .map(|b| b.keys().cloned().collect())
         .unwrap_or_default();
-    let order = {
+    let order: Vec<&TriplePattern> = {
         let _span = grdf_obs::span("query.plan");
-        if src.mask.is_some() {
-            let Some((pats, vars)) = lower_bgp(src.graph, triples.iter()) else {
-                return Ok(Vec::new()); // an unknown constant matches nothing
-            };
-            let bound = vars.iter().map(|v| bound_vars.contains(v)).collect();
+        let Some((pats, vars)) = lower_bgp(src.graph, triples.iter()) else {
+            return Ok(Vec::new()); // an unknown constant matches nothing
+        };
+        let bound = vars.iter().map(|v| bound_vars.contains(v)).collect();
+        let order = if src.mask.is_some() {
             plan_visible(src, &pats, bound)
-                .into_iter()
-                .map(|i| &triples[i])
-                .collect()
         } else {
-            plan_bgp(src.graph, triples, bound_vars)
-        }
+            plan_ids(src.graph, &pats, bound)
+        };
+        order.into_iter().map(|i| &triples[i]).collect()
     };
 
     let _span = grdf_obs::span("query.join");
@@ -942,8 +891,8 @@ fn greedy_order(
 /// predicate, is refined by the per-predicate run statistics to the
 /// expected per-probe fan-out (`triples / distinct key values`) — a chain
 /// probe over a functional property scores far below its raw triple count.
-fn plan_ids(graph: &Graph, pats: &[IdPattern], nvars: usize) -> Vec<usize> {
-    greedy_order(pats, vec![false; nvars], |candidates, bound| {
+fn plan_ids(graph: &Graph, pats: &[IdPattern], bound: Vec<bool>) -> Vec<usize> {
+    greedy_order(pats, bound, |candidates, bound| {
         let score = |pat: &IdPattern| {
             let mut card = pat.estimate(graph);
             let bound_key = |slot: Slot| matches!(slot, Slot::Var(v) if bound[v]);
@@ -967,8 +916,8 @@ fn plan_ids(graph: &Graph, pats: &[IdPattern], nvars: usize) -> Vec<usize> {
     })
 }
 
-/// The join order of a masked evaluation. [`plan_ids`] and [`plan_bgp`]
-/// score patterns with whole-graph statistics, which count hidden triples:
+/// The join order of a masked evaluation. [`plan_ids`] scores patterns
+/// with whole-graph statistics, which count hidden triples:
 /// an order taken from them would let data the role cannot see decide
 /// which visible triples a request reads, and so what it is charged
 /// (`gsacs.scanned`). Here ([`greedy_order`]) a candidate scores its
@@ -1050,10 +999,11 @@ fn eval_bgp_ids(
     };
     let order = {
         let _span = grdf_obs::span("query.plan");
+        let unbound = vec![false; vars.len()];
         if src.mask.is_some() {
-            plan_visible(src, &pats, vec![false; vars.len()])
+            plan_visible(src, &pats, unbound)
         } else {
-            plan_ids(graph, &pats, vars.len())
+            plan_ids(graph, &pats, unbound)
         }
     };
 
@@ -1604,6 +1554,15 @@ mod tests {
         assert_eq!(rows[0]["tname"], Term::string("White Rock Creek"));
     }
 
+    /// The unmasked join order of `patterns` with nothing bound yet.
+    fn plan<'a>(g: &Graph, patterns: &'a [TriplePattern]) -> Vec<&'a TriplePattern> {
+        let (pats, vars) = lower_bgp(g, patterns).expect("every constant is interned");
+        plan_ids(g, &pats, vec![false; vars.len()])
+            .into_iter()
+            .map(|i| &patterns[i])
+            .collect()
+    }
+
     #[test]
     fn planner_orders_by_cardinality_not_text_order() {
         // Adversarial ordering: the textually-first pattern matches 60
@@ -1633,7 +1592,7 @@ mod tests {
                 TermOrVar::var("v"),
             ),
         ];
-        let order = plan_bgp(&g, &patterns, HashSet::new());
+        let order = plan(&g, &patterns);
         assert_eq!(
             order[0].predicate,
             TermOrVar::Term(rare),
@@ -1678,7 +1637,7 @@ mod tests {
                 TermOrVar::var("o"),
             ),
         ];
-        let order = plan_bgp(&g, &patterns, HashSet::new());
+        let order = plan(&g, &patterns);
         assert_eq!(order[0].predicate, TermOrVar::Term(rare));
         assert_eq!(
             order[1].predicate,

@@ -573,37 +573,11 @@ impl Graph {
 
     /// Bulk insert: intern every triple first, then merge the sorted new
     /// id-tuples straight into a fresh run (one ordered pass per index) —
-    /// cheaper than per-triple `insert` for large batches (the reasoner's
-    /// per-pass merges, ontology loads). Returns the number of triples
-    /// actually added.
+    /// cheaper than per-triple `insert` for large batches (graph merges,
+    /// ontology loads). Returns the number of triples actually added.
     pub fn extend_triples<I: IntoIterator<Item = Triple>>(&mut self, iter: I) -> usize {
-        let ids = self.intern_batch(iter);
-        self.extend_ids(ids)
-    }
-
-    /// [`Graph::extend_triples`] that always leaves the graph fully
-    /// compacted (empty novelty overlay), folding the batch and any
-    /// resident novelty into a fresh run in a single rebuild. For callers
-    /// that rescan the whole graph right after absorbing — the naive
-    /// reasoner's per-pass absorb, checkpoint staging — where paying one
-    /// O(n) merge now is cheaper than merge-on-read later.
-    pub fn extend_triples_compacting<I: IntoIterator<Item = Triple>>(&mut self, iter: I) -> usize {
-        let mut ids = self.intern_batch(iter);
-        ids.sort_unstable();
-        ids.dedup();
-        let fresh = self.filter_fresh(&ids);
-        if fresh.is_empty() {
-            self.compact();
-            return 0;
-        }
-        self.rebuild(&fresh);
-        let added = fresh.len();
-        self.log.extend(fresh);
-        added
-    }
-
-    fn intern_batch<I: IntoIterator<Item = Triple>>(&mut self, iter: I) -> Vec<IdTriple> {
-        iter.into_iter()
+        let ids = iter
+            .into_iter()
             .map(|t| {
                 (
                     self.interner.intern(&t.subject),
@@ -611,7 +585,8 @@ impl Graph {
                     self.interner.intern(&t.object),
                 )
             })
-            .collect()
+            .collect();
+        self.extend_ids(ids)
     }
 
     /// Bulk insert of id triples whose components are already interned in

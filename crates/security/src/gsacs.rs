@@ -85,13 +85,6 @@ pub struct OwlHorstEngine {
     reasoner: Reasoner,
 }
 
-impl OwlHorstEngine {
-    /// Engine with a custom reasoner configuration.
-    pub fn with(reasoner: Reasoner) -> OwlHorstEngine {
-        OwlHorstEngine { reasoner }
-    }
-}
-
 impl ReasoningEngine for OwlHorstEngine {
     fn materialize(&self, graph: &mut Graph, deadline: &Deadline) -> Result<usize, EngineError> {
         self.reasoner

@@ -7,7 +7,7 @@
 //!   internal failure maps to a denied request plus an audit entry; no
 //!   error path returns data.
 //! * [`ResilientEngine`] — retry-with-backoff and a circuit breaker
-//!   around the pluggable [`ReasoningEngine`](crate::gsacs::ReasoningEngine).
+//!   around the pluggable [`ReasoningEngine`].
 //!   After [`BreakerConfig::failure_threshold`] consecutive failures the
 //!   breaker opens and the service degrades to un-inferred data with every
 //!   deny-bearing role masked out; after [`BreakerConfig::cooldown`] a
@@ -966,9 +966,10 @@ pub enum LintGate {
 /// Whether G-SACS state survives a process crash.
 ///
 /// `Ephemeral` is the historical in-memory behavior. `Wal` mounts a
-/// [`DurableStore`]: every accepted update batch is appended to the
-/// write-ahead log *before* any in-memory mutation, checkpoints rotate by
-/// WAL-size threshold, and audit entries stream to the store's JSONL sink.
+/// [`grdf_store::DurableStore`]: every accepted update batch is appended
+/// to the write-ahead log *before* any in-memory mutation, checkpoints
+/// rotate by WAL-size threshold, and audit entries stream to the store's
+/// JSONL sink.
 /// Recover a crashed service with
 /// [`GSacs::recover_with_resilience`](crate::gsacs::GSacs::recover_with_resilience).
 #[derive(Clone, Default)]

@@ -14,7 +14,7 @@
 //! [`DurableStore`] composes them: G-SACS appends every accepted update
 //! batch to the WAL *before* mutating its in-memory state (the write-ahead
 //! invariant), checkpoints rotate by WAL-size threshold, and
-//! [`DurableStore::recover`] rebuilds the exact pre-crash base graph and
+//! [`DurableStore::open`] rebuilds the exact pre-crash base graph and
 //! policy set from the newest valid checkpoint plus the surviving WAL
 //! prefix — refusing to serve (never serving a silently-holed graph) when
 //! corruption is interior rather than a torn tail.
