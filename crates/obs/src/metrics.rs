@@ -97,9 +97,7 @@ impl Gauge {
     }
 }
 
-/// Fixed log₂-bucket histogram with lock-free recording, generalized out
-/// of the PR 1 `LatencyHistogram` (which now wraps it with `Duration`
-/// units).
+/// Fixed log₂-bucket histogram with lock-free recording.
 ///
 /// Quantiles are *interpolated within the bucket* holding the target
 /// rank — assuming a uniform spread of samples across the bucket — and

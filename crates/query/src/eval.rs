@@ -1,10 +1,10 @@
-//! Query evaluation: BGP joins, filters, optional/union, solution
-//! modifiers, and the three result forms.
+//! Query evaluation: BGP joins, filters, optional/union, property paths,
+//! solution modifiers, and the three result forms.
 
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -13,7 +13,9 @@ use grdf_rdf::labels::ScanMask;
 use grdf_rdf::term::{Term, Triple};
 use grdf_runtime::{Deadline, DeadlineExceeded};
 
-use crate::ast::{Aggregate, Expr, Order, Pattern, Query, QueryKind, TermOrVar, TriplePattern};
+use crate::ast::{
+    Aggregate, Expr, Order, Pattern, PropertyPath, Query, QueryKind, TermOrVar, TriplePattern,
+};
 use crate::parser::{parse_query, ParseError};
 use crate::spatial::GeoPreds;
 
@@ -135,10 +137,7 @@ pub fn execute_masked(
     query_text: &str,
     deadline: &Deadline,
 ) -> Result<(QueryResult, u64), QueryError> {
-    let q = parse_traced(query_text)?;
-    let src = Source::new(graph, Some(mask));
-    let result = run_query(&src, &q, deadline)?;
-    Ok((result, src.examined.get()))
+    run_query(graph, Some(mask), &parse_traced(query_text)?, deadline)
 }
 
 /// What an evaluation reads: a graph, optionally behind a label mask.
@@ -147,6 +146,10 @@ pub fn execute_masked(
 pub(crate) struct Source<'a> {
     pub(crate) graph: &'a Graph,
     mask: Option<&'a ScanMask<'a>>,
+    /// The query's constant path endpoints that the graph never interned,
+    /// with ids from `graph.term_count()` up: no triple holds them, but a
+    /// zero-length path binds them.
+    local: Vec<Term>,
     examined: Cell<u64>,
     /// The geometry predicates' ids, resolved by the first spatial test.
     pub(crate) geo: OnceCell<GeoPreds>,
@@ -157,6 +160,7 @@ impl<'a> Source<'a> {
         Source {
             graph,
             mask,
+            local: Vec::new(),
             examined: Cell::new(0),
             geo: OnceCell::new(),
         }
@@ -171,7 +175,26 @@ impl<'a> Source<'a> {
         self.examined.set(self.examined.get() + n);
     }
 
-    /// [`Graph::for_each_match_ids`] over the visible triples.
+    /// The term behind an id of this evaluation: the graph's, or a local
+    /// path endpoint's.
+    fn term_of(&self, id: TermId) -> &Term {
+        let n = self.graph.term_count();
+        match (id as usize).checked_sub(n) {
+            Some(i) => &self.local[i],
+            None => self.graph.term_of(id),
+        }
+    }
+
+    /// The id of a constant path endpoint.
+    fn endpoint_id(&self, t: &Term) -> TermId {
+        self.graph.term_id(t).unwrap_or_else(|| {
+            let i = self.local.iter().position(|l| l == t);
+            (self.graph.term_count() + i.expect("uninterned endpoints are local")) as TermId
+        })
+    }
+
+    /// [`Graph::for_each_match_ids`] over the visible triples. A local id
+    /// holds no triple, so a pattern naming one is never probed.
     pub(crate) fn for_each_ids(
         &self,
         s: Option<TermId>,
@@ -179,18 +202,23 @@ impl<'a> Source<'a> {
         o: Option<TermId>,
         mut f: impl FnMut(TermId, TermId, TermId),
     ) {
-        let mut n = 0;
+        let n = self.graph.term_count();
+        if [s, p, o].into_iter().flatten().any(|id| id as usize >= n) {
+            return;
+        }
+        let mut read = 0;
         self.graph.for_each_match_ids(s, p, o, |s, p, o| {
             if self.visible(s, p) {
-                n += 1;
+                read += 1;
                 f(s, p, o);
             }
         });
-        self.charge(n);
+        self.charge(read);
     }
 
     /// How many visible triples match the id pattern, counting no further
-    /// than `cap` — a planning statistic, not charged.
+    /// than `cap` — a planning statistic, not charged. Without a mask
+    /// every triple is visible, and the count is the index range's length.
     fn visible_count(
         &self,
         s: Option<TermId>,
@@ -198,10 +226,13 @@ impl<'a> Source<'a> {
         o: Option<TermId>,
         cap: usize,
     ) -> usize {
+        let Some(mask) = self.mask else {
+            return self.graph.estimate_ids(s, p, o).min(cap);
+        };
         if let (Some(sid), Some(pid)) = (s, p) {
             // A triple's visibility depends only on its subject and
             // predicate: the range is all visible or all hidden.
-            return if self.visible(sid, pid) {
+            return if mask.visible(sid, pid) {
                 self.graph.estimate_ids(s, p, o).min(cap)
             } else {
                 0
@@ -210,44 +241,196 @@ impl<'a> Source<'a> {
         let mut n = 0;
         if cap > 0 {
             self.graph.for_each_match_ids_while(s, p, o, |s, p, _| {
-                n += usize::from(self.visible(s, p));
+                n += usize::from(mask.visible(s, p));
                 n < cap
             });
         }
         n
     }
+}
 
-    /// [`Graph::for_each_match`] over the visible triples.
-    fn for_each(
-        &self,
-        s: Option<&Term>,
-        p: Option<&Term>,
-        o: Option<&Term>,
-        mut f: impl FnMut(Triple),
-    ) {
-        let id = |t: Option<&Term>| match t {
-            None => Some(None),
-            Some(t) => self.graph.term_id(t).map(Some),
-        };
-        // An unknown bound term matches nothing.
-        let (Some(s), Some(p), Some(o)) = (id(s), id(p), id(o)) else {
-            return;
-        };
-        let g = self.graph;
-        self.for_each_ids(s, p, o, |s, p, o| {
-            f(Triple::new(
-                g.term_of(s).clone(),
-                g.term_of(p).clone(),
-                g.term_of(o).clone(),
-            ));
-        });
+/// The constant path endpoints of `pattern`, `EXISTS` patterns included,
+/// that `graph` never interned, each once.
+fn uninterned_endpoints(graph: &Graph, pattern: &Pattern, out: &mut Vec<Term>) {
+    match pattern {
+        Pattern::Bgp(_) => {}
+        Pattern::Path {
+            subject, object, ..
+        } => {
+            for end in [subject, object] {
+                if let TermOrVar::Term(t) = end {
+                    if graph.term_id(t).is_none() && !out.contains(t) {
+                        out.push(t.clone());
+                    }
+                }
+            }
+        }
+        Pattern::Group(parts) => {
+            for part in parts {
+                uninterned_endpoints(graph, part, out);
+            }
+        }
+        Pattern::Optional(inner) => uninterned_endpoints(graph, inner, out),
+        Pattern::Union(l, r) => {
+            uninterned_endpoints(graph, l, out);
+            uninterned_endpoints(graph, r, out);
+        }
+        Pattern::Filter(e) => {
+            let mut stack = vec![e];
+            while let Some(e) = stack.pop() {
+                match e {
+                    Expr::Exists(p) | Expr::NotExists(p) => uninterned_endpoints(graph, p, out),
+                    Expr::Not(a) => stack.push(&**a),
+                    Expr::Eq(a, b)
+                    | Expr::Ne(a, b)
+                    | Expr::Lt(a, b)
+                    | Expr::Le(a, b)
+                    | Expr::Gt(a, b)
+                    | Expr::Ge(a, b)
+                    | Expr::And(a, b)
+                    | Expr::Or(a, b)
+                    | Expr::Contains(a, b)
+                    | Expr::StrStarts(a, b) => stack.extend([&**a, &**b]),
+                    _ => {}
+                }
+            }
+        }
     }
 }
 
-/// One solution as expressions and the solution modifiers read it. The
-/// id pipeline's rows ([`IdRow`]) and materialized [`Bindings`] both give
-/// it, so FILTER, ORDER BY, DISTINCT and the rest each have one
-/// implementation for both.
+/// The cell of a variable a row does not bind (OPTIONAL, UNION).
+const UNBOUND: TermId = TermId::MAX;
+
+/// Solutions as rows of term ids, one column per variable, stored flat:
+/// `vars.len()` ids a row. A cell may be [`UNBOUND`]. The count is kept
+/// apart so that rows of no column (the row evaluation starts from, a BGP
+/// without variables) still count.
+#[derive(Clone)]
+struct IdTable {
+    /// Column names.
+    vars: Vec<String>,
+    len: usize,
+    ids: Vec<TermId>,
+}
+
+impl IdTable {
+    /// One row, `ids`, under the columns `vars`.
+    fn of_row(vars: &[String], ids: &[TermId]) -> IdTable {
+        IdTable {
+            vars: vars.to_vec(),
+            len: 1,
+            ids: ids.to_vec(),
+        }
+    }
+
+    fn empty(vars: Vec<String>) -> IdTable {
+        IdTable {
+            vars,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.vars.len()
+    }
+
+    fn row(&self, i: usize) -> &[TermId] {
+        let w = self.width();
+        &self.ids[i * w..(i + 1) * w]
+    }
+
+    fn column(&self, c: usize) -> impl Iterator<Item = TermId> + '_ {
+        (0..self.len).map(move |i| self.row(i)[c])
+    }
+
+    fn col(&self, var: &str) -> Option<usize> {
+        self.vars.iter().position(|v| v == var)
+    }
+
+    /// The column of `var`, added unbound in every row when missing.
+    fn col_or_add(&mut self, var: &str) -> usize {
+        if let Some(c) = self.col(var) {
+            return c;
+        }
+        let w = self.width();
+        let mut ids = Vec::with_capacity(self.len * (w + 1));
+        for i in 0..self.len {
+            ids.extend_from_slice(self.row(i));
+            ids.push(UNBOUND);
+        }
+        self.ids = ids;
+        self.vars.push(var.to_string());
+        w
+    }
+
+    /// Append `row`, widened with unbound cells, then bind each
+    /// `(column, id)`: a cell already holding another id drops the row.
+    fn push_bound(&mut self, row: &[TermId], binds: impl IntoIterator<Item = (usize, TermId)>) {
+        let start = self.ids.len();
+        self.ids.extend_from_slice(row);
+        self.ids.resize(start + self.width(), UNBOUND);
+        for (c, id) in binds {
+            let cell = &mut self.ids[start + c];
+            if *cell == UNBOUND {
+                *cell = id;
+            } else if *cell != id {
+                self.ids.truncate(start);
+                return;
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Append the rows of `other`, matching columns by name; a column only
+    /// `other` has is added.
+    fn append(&mut self, other: &IdTable) {
+        let cols: Vec<usize> = other.vars.iter().map(|v| self.col_or_add(v)).collect();
+        for i in 0..other.len {
+            self.push_bound(&[], cols.iter().copied().zip(other.row(i).iter().copied()));
+        }
+    }
+
+    /// Keep the rows whose `keep` entry is true.
+    fn retain(&mut self, keep: &[bool]) {
+        let w = self.width();
+        let mut n = 0;
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            self.ids.copy_within(i * w..(i + 1) * w, n * w);
+            n += 1;
+        }
+        self.ids.truncate(n * w);
+        self.len = n;
+    }
+
+    fn rows<'a>(&'a self, src: &'a Source<'a>) -> impl Iterator<Item = IdRow<'a>> {
+        (0..self.len).map(move |i| IdRow {
+            src,
+            vars: &self.vars,
+            ids: self.row(i),
+        })
+    }
+}
+
+/// One row of an [`IdTable`]: terms are read in place, by id.
+#[derive(Clone, Copy)]
+struct IdRow<'a> {
+    src: &'a Source<'a>,
+    vars: &'a [String],
+    ids: &'a [TermId],
+}
+
+impl IdRow<'_> {
+    /// The id bound to `var`; `None` when the row leaves it unbound.
+    fn id(&self, var: &str) -> Option<TermId> {
+        let c = self.vars.iter().position(|v| v == var)?;
+        Some(self.ids[c]).filter(|&id| id != UNBOUND)
+    }
+}
+
+/// One solution as the solution modifiers read it: an [`IdRow`], or an
+/// aggregated row of [`Bindings`]. ORDER BY, DISTINCT and the projection
+/// each have one implementation for both.
 trait Row {
     /// What DISTINCT hashes for one variable.
     type Key<'r>: Hash + Eq
@@ -257,15 +440,8 @@ trait Row {
     /// The term bound to `var`.
     fn term(&self, var: &str) -> Option<&Term>;
 
-    /// The id in `graph` of the term bound to `var`; `None` when `var` is
-    /// unbound or its term was never interned by `graph`.
-    fn id(&self, graph: &Graph, var: &str) -> Option<TermId>;
-
     /// DISTINCT's key for `var`: equal exactly when the terms are.
     fn key(&self, var: &str) -> Option<Self::Key<'_>>;
-
-    /// The variables the row binds.
-    fn vars(&self) -> impl Iterator<Item = &str>;
 
     /// The bindings of those of `vars` the row binds. Returned rows
     /// materialize here, once, after every modifier has run.
@@ -278,13 +454,6 @@ trait Row {
         }
         b
     }
-
-    /// Every binding of the row.
-    fn to_bindings(&self) -> Bindings {
-        self.vars()
-            .filter_map(|v| Some((v.to_string(), self.term(v)?.clone())))
-            .collect()
-    }
 }
 
 impl Row for Bindings {
@@ -294,63 +463,8 @@ impl Row for Bindings {
         self.get(var)
     }
 
-    fn id(&self, graph: &Graph, var: &str) -> Option<TermId> {
-        graph.term_id(self.get(var)?)
-    }
-
     fn key(&self, var: &str) -> Option<&Term> {
         self.get(var)
-    }
-
-    fn vars(&self) -> impl Iterator<Item = &str> {
-        self.keys().map(String::as_str)
-    }
-}
-
-/// Rows of term ids stored flat, `width` ids each. The count is kept
-/// apart so that rows of no column (a BGP without variables) still count.
-#[derive(Default)]
-struct IdRows {
-    width: usize,
-    len: usize,
-    ids: Vec<TermId>,
-}
-
-impl IdRows {
-    fn row(&self, i: usize) -> &[TermId] {
-        &self.ids[i * self.width..(i + 1) * self.width]
-    }
-}
-
-/// The id pipeline's solutions: a BGP's rows, one column per variable.
-#[derive(Default)]
-struct IdTable {
-    /// Column names.
-    vars: Vec<String>,
-    rows: IdRows,
-}
-
-impl IdTable {
-    fn rows<'a>(&'a self, graph: &'a Graph) -> impl Iterator<Item = IdRow<'a>> {
-        (0..self.rows.len).map(move |i| IdRow {
-            graph,
-            vars: &self.vars,
-            ids: self.rows.row(i),
-        })
-    }
-}
-
-/// One row of an [`IdTable`]: terms are read in place, by id.
-#[derive(Clone, Copy)]
-struct IdRow<'a> {
-    graph: &'a Graph,
-    vars: &'a [String],
-    ids: &'a [TermId],
-}
-
-impl IdRow<'_> {
-    fn col(&self, var: &str) -> Option<TermId> {
-        self.vars.iter().position(|v| v == var).map(|c| self.ids[c])
     }
 }
 
@@ -361,19 +475,11 @@ impl Row for IdRow<'_> {
         Self: 'r;
 
     fn term(&self, var: &str) -> Option<&Term> {
-        self.col(var).map(|id| self.graph.term_of(id))
-    }
-
-    fn id(&self, _: &Graph, var: &str) -> Option<TermId> {
-        self.col(var)
+        self.id(var).map(|id| self.src.term_of(id))
     }
 
     fn key(&self, var: &str) -> Option<TermId> {
-        self.col(var)
-    }
-
-    fn vars(&self) -> impl Iterator<Item = &str> {
-        self.vars.iter().map(String::as_str)
+        self.id(var)
     }
 }
 
@@ -452,78 +558,56 @@ pub fn execute_query_with_deadline(
     query: &Query,
     deadline: &Deadline,
 ) -> Result<QueryResult, QueryError> {
-    run_query(&Source::new(graph, None), query, deadline)
+    Ok(run_query(graph, None, query, deadline)?.0)
 }
 
+/// Evaluate `query` on id rows, then build its result: the rows
+/// materialize only there. Also returns the visible triples read.
 fn run_query(
-    src: &Source<'_>,
+    graph: &Graph,
+    mask: Option<&ScanMask<'_>>,
     query: &Query,
     deadline: &Deadline,
-) -> Result<QueryResult, QueryError> {
-    // The common shape, one BGP under its group's FILTERs, stays in id
-    // space: the filters and modifiers read terms in place and only the
-    // rows the query returns materialize. Every other pattern is
-    // evaluated on materialized bindings.
-    if let Some((triples, filters)) = bgp_with_filters(&query.pattern) {
-        let table = eval_bgp_ids(src, &triples, deadline)?;
-        let rows = filter_rows(src, table.rows(src.graph).collect(), &filters, deadline)?;
-        return Ok(finish(query, rows));
-    }
-    let rows = eval_pattern(src, &query.pattern, vec![Bindings::new()], deadline)?;
-    Ok(finish(query, rows))
-}
-
-/// The triple patterns and FILTERs of a pattern the id pipeline runs: a
-/// BGP, or a group of BGPs and FILTERs (a conjunction of triple patterns
-/// under filters that constrain the whole group).
-fn bgp_with_filters(pattern: &Pattern) -> Option<(Vec<&TriplePattern>, Vec<&Expr>)> {
-    let parts = match pattern {
-        Pattern::Group(parts) => parts.as_slice(),
-        single => std::slice::from_ref(single),
-    };
-    let mut triples = Vec::new();
-    let mut filters = Vec::new();
-    for part in parts {
-        match part {
-            Pattern::Bgp(ts) => triples.extend(ts),
-            Pattern::Filter(e) => filters.push(e),
-            _ => return None,
-        }
-    }
-    (!triples.is_empty()).then_some((triples, filters))
+) -> Result<(QueryResult, u64), QueryError> {
+    let mut src = Source::new(graph, mask);
+    uninterned_endpoints(graph, &query.pattern, &mut src.local);
+    // Evaluation starts from one row of no column.
+    let table = eval_pattern(&src, &query.pattern, IdTable::of_row(&[], &[]), deadline)?;
+    Ok((finish(&src, query, &table), src.examined.get()))
 }
 
 /// Keep the rows on which every filter evaluates to true.
-fn filter_rows<R: Row>(
+fn filter(
     src: &Source<'_>,
-    rows: Vec<R>,
+    mut table: IdTable,
     filters: &[&Expr],
     deadline: &Deadline,
-) -> Result<Vec<R>, DeadlineExceeded> {
+) -> Result<IdTable, DeadlineExceeded> {
     if filters.is_empty() {
-        return Ok(rows);
+        return Ok(table);
     }
-    let mut kept = Vec::new();
-    for (n, row) in rows.into_iter().enumerate() {
+    let mut keep = Vec::with_capacity(table.len);
+    for (n, row) in table.rows(src).enumerate() {
         if n % 1024 == 0 {
             deadline.check()?;
         }
-        if filters
-            .iter()
-            .all(|e| eval_expr(src, e, &row, deadline).and_then(EvalValue::truthy) == Some(true))
-        {
-            kept.push(row);
-        }
+        keep.push(
+            filters.iter().all(|e| {
+                eval_expr(src, e, &row, deadline).and_then(EvalValue::truthy) == Some(true)
+            }),
+        );
     }
     // EXISTS/NOT EXISTS sub-evaluation swallows expiry into a `None`
     // filter value; expiry latches, so this check surfaces it before any
     // partial row set escapes.
     deadline.check()?;
-    Ok(kept)
+    table.retain(&keep);
+    Ok(table)
 }
 
 /// Aggregation, the solution modifiers and the result form.
-fn finish<R: Row>(query: &Query, rows: Vec<R>) -> QueryResult {
+fn finish(src: &Source<'_>, query: &Query, table: &IdTable) -> QueryResult {
+    let rows: Vec<IdRow> = table.rows(src).collect();
     match &query.kind {
         QueryKind::Select {
             vars,
@@ -532,9 +616,14 @@ fn finish<R: Row>(query: &Query, rows: Vec<R>) -> QueryResult {
         } => {
             if aggregates.is_empty() {
                 let vars = if vars.is_empty() {
-                    // SELECT *: every variable seen, sorted for determinism.
-                    let all: BTreeSet<&str> = rows.iter().flat_map(Row::vars).collect();
-                    all.into_iter().map(str::to_string).collect()
+                    // SELECT *: every variable some row binds, sorted for
+                    // determinism.
+                    let mut all: Vec<String> = (0..table.width())
+                        .filter(|&c| table.column(c).any(|id| id != UNBOUND))
+                        .map(|c| table.vars[c].clone())
+                        .collect();
+                    all.sort();
+                    all
                 } else {
                     vars.clone()
                 };
@@ -662,29 +751,42 @@ fn resolve(t: &TermOrVar, row: &impl Row) -> Option<Term> {
     }
 }
 
+/// Evaluate `pattern` against each row of `input`: the rows it extends
+/// to, in one table whose columns are matched by name.
 fn eval_pattern(
     src: &Source<'_>,
     pattern: &Pattern,
-    input: Vec<Bindings>,
+    input: IdTable,
     deadline: &Deadline,
-) -> Result<Vec<Bindings>, DeadlineExceeded> {
+) -> Result<IdTable, DeadlineExceeded> {
     match pattern {
-        Pattern::Bgp(triples) => eval_bgp(src, triples, input, deadline),
+        Pattern::Bgp(triples) => {
+            eval_bgp_ids(src, &triples.iter().collect::<Vec<_>>(), input, deadline)
+        }
         Pattern::Path {
             subject,
             path,
             object,
         } => {
-            let mut out = Vec::new();
-            for binding in input {
+            let mut out = IdTable::empty(input.vars.clone());
+            let mut end = |t: &TermOrVar| match t {
+                TermOrVar::Term(t) => Slot::Const(src.endpoint_id(t)),
+                TermOrVar::Var(v) => Slot::Var(out.col_or_add(v)),
+            };
+            let (s, o) = (end(subject), end(object));
+            let value = |row: &[TermId], end: Slot| match end {
+                Slot::Const(id) => Some(id),
+                Slot::Var(c) => row.get(c).copied().filter(|&id| id != UNBOUND),
+            };
+            let column = |end: Slot, id: TermId| match end {
+                Slot::Var(c) => Some((c, id)),
+                Slot::Const(_) => None,
+            };
+            for i in 0..input.len {
                 deadline.check()?;
-                let s = resolve(subject, &binding);
-                let o = resolve(object, &binding);
-                for (ps, po) in path_pairs(src, path, s.as_ref(), o.as_ref(), deadline)? {
-                    let mut b = binding.clone();
-                    if bind(&mut b, subject, &ps) && bind(&mut b, object, &po) {
-                        out.push(b);
-                    }
+                let row = input.row(i);
+                for (a, b) in path_pairs(src, path, value(row, s), value(row, o), deadline)? {
+                    out.push_bound(row, [column(s, a), column(o, b)].into_iter().flatten());
                 }
             }
             Ok(out)
@@ -692,91 +794,50 @@ fn eval_pattern(
         Pattern::Group(parts) => {
             // A FILTER constrains its whole group wherever it is placed
             // (SPARQL 1.1 §5.2.2), so the filters run after every other
-            // part.
+            // part, and the BGPs they separate join as one conjunction.
             let mut acc = input;
+            let mut triples = Vec::new();
             let mut filters = Vec::new();
             for part in parts {
                 match part {
+                    Pattern::Bgp(ts) => triples.extend(ts),
                     Pattern::Filter(e) => filters.push(e),
-                    _ => acc = eval_pattern(src, part, acc, deadline)?,
+                    _ => {
+                        acc = eval_bgp_ids(src, &std::mem::take(&mut triples), acc, deadline)?;
+                        acc = eval_pattern(src, part, acc, deadline)?;
+                    }
                 }
             }
-            filter_rows(src, acc, &filters, deadline)
+            acc = eval_bgp_ids(src, &triples, acc, deadline)?;
+            filter(src, acc, &filters, deadline)
         }
         Pattern::Optional(inner) => {
-            let mut out = Vec::new();
-            for b in input {
+            // A left join, row by row: a row the inner pattern cannot
+            // extend is kept as it is.
+            let mut out = IdTable::empty(input.vars.clone());
+            for i in 0..input.len {
                 deadline.check()?;
-                let extended = eval_pattern(src, inner, vec![b.clone()], deadline)?;
-                if extended.is_empty() {
-                    out.push(b);
+                let row = IdTable::of_row(&input.vars, input.row(i));
+                let extended = eval_pattern(src, inner, row, deadline)?;
+                if extended.len == 0 {
+                    out.push_bound(input.row(i), []);
                 } else {
-                    out.extend(extended);
+                    out.append(&extended);
                 }
             }
             Ok(out)
         }
         Pattern::Union(l, r) => {
             let mut out = eval_pattern(src, l, input.clone(), deadline)?;
-            out.extend(eval_pattern(src, r, input, deadline)?);
+            out.append(&eval_pattern(src, r, input, deadline)?);
             Ok(out)
         }
-        Pattern::Filter(e) => filter_rows(src, input, &[e], deadline),
+        Pattern::Filter(e) => filter(src, input, &[e], deadline),
     }
 }
 
-fn eval_bgp(
-    src: &Source<'_>,
-    triples: &[TriplePattern],
-    input: Vec<Bindings>,
-    deadline: &Deadline,
-) -> Result<Vec<Bindings>, DeadlineExceeded> {
-    // A BGP with nothing bound yet runs on the id-columnar engine: terms
-    // are interned once, the join works on `TermId` rows, and terms are
-    // cloned only when its rows materialize back to bindings.
-    if input.len() == 1 && input[0].is_empty() && !triples.is_empty() {
-        let table = eval_bgp_ids(src, &triples.iter().collect::<Vec<_>>(), deadline)?;
-        return Ok(table.rows(src.graph).map(|r| r.to_bindings()).collect());
-    }
-    // Input bindings also count as bound, conservatively using the first
-    // solution's keys.
-    let mut solutions = input;
-    let bound_vars: HashSet<String> = solutions
-        .first()
-        .map(|b| b.keys().cloned().collect())
-        .unwrap_or_default();
-    let order: Vec<&TriplePattern> = {
-        let _span = grdf_obs::span("query.plan");
-        let Some((pats, vars)) = lower_bgp(src.graph, triples.iter()) else {
-            return Ok(Vec::new()); // an unknown constant matches nothing
-        };
-        let bound = vars.iter().map(|v| bound_vars.contains(v)).collect();
-        let order = if src.mask.is_some() {
-            plan_visible(src, &pats, bound)
-        } else {
-            plan_ids(src.graph, &pats, bound)
-        };
-        order.into_iter().map(|i| &triples[i]).collect()
-    };
-
-    let _span = grdf_obs::span("query.join");
-    for pattern in order {
-        let mut next = Vec::new();
-        for binding in &solutions {
-            deadline.check()?;
-            match_one(src, pattern, binding, &mut next);
-        }
-        solutions = next;
-        if solutions.is_empty() {
-            break;
-        }
-    }
-    grdf_obs::add("query.join.rows", solutions.len() as u64);
-    Ok(solutions)
-}
-
-/// One position of a lowered triple pattern: an interned constant or a
-/// variable index into the BGP's variable table.
+/// One position of a lowered pattern: an interned constant, or a
+/// variable (an index into the BGP's variable table, or a column).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Const(TermId),
@@ -802,12 +863,6 @@ impl IdPattern {
             Slot::Const(id) => Some(id),
             Slot::Var(_) => None,
         })
-    }
-
-    /// Exact whole-graph match count of the constant positions.
-    fn estimate(&self, graph: &Graph) -> usize {
-        let [s, p, o] = self.consts();
-        graph.estimate_ids(s, p, o)
     }
 }
 
@@ -841,17 +896,35 @@ fn lower_bgp<'t>(
     Some((pats, vars))
 }
 
-/// The greedy join order [`plan_ids`] and [`plan_visible`] share:
-/// repeatedly take, among the remaining patterns connected to an
-/// already-bound variable (all of them when none is, so the join stays a
-/// chain of index probes instead of a cross product), the one `pick`
-/// chooses from those candidates (given in input order, with the bound
-/// variables), then bind its variables.
-fn greedy_order(
-    pats: &[IdPattern],
-    mut bound: Vec<bool>,
-    mut pick: impl FnMut(&[usize], &[bool]) -> usize,
-) -> Vec<usize> {
+/// The join order: repeatedly take, among the remaining patterns connected
+/// to an already-bound variable (all of them when none is, so the join
+/// stays a chain of index probes instead of a cross product), the one with
+/// the fewest *visible* matches over its constant positions, ties broken
+/// by input order, then bind its variables. Counting visible matches keeps
+/// the order, like the charge (`gsacs.scanned`), a function of what the
+/// mask shows: data a role cannot see never decides which visible triples
+/// a request reads. Without a mask every triple is visible and a count is
+/// exact from the index ranges ([`Graph::estimate_ids`]); under one,
+/// counts are taken lazily and only as far as a comparison needs, and
+/// whole-graph estimates merely decide which candidate is counted first.
+fn plan_visible(src: &Source<'_>, pats: &[IdPattern], mut bound: Vec<bool>) -> Vec<usize> {
+    // Per pattern: the visible matches counted so far, and whether the
+    // count is complete (otherwise it is a lower bound).
+    let mut counted: Vec<(usize, bool)> = vec![(0, false); pats.len()];
+    let mut count = |i: usize, cap: usize| -> usize {
+        let (n, exact) = counted[i];
+        if exact || n >= cap {
+            return n;
+        }
+        let [s, p, o] = pats[i].consts();
+        let n = src.visible_count(s, p, o, cap);
+        counted[i] = (n, n < cap);
+        n
+    };
+    let estimate = |i: usize| {
+        let [s, p, o] = pats[i].consts();
+        src.graph.estimate_ids(s, p, o)
+    };
     let mut remaining: Vec<usize> = (0..pats.len()).collect();
     let mut order = Vec::with_capacity(pats.len());
     while !remaining.is_empty() {
@@ -870,9 +943,29 @@ fn greedy_order(
         } else {
             &connected
         };
-        let chosen = match candidates[..] {
-            [only] => only,
-            _ => pick(candidates, &bound),
+        let chosen = if let [only] = candidates[..] {
+            only
+        } else {
+            let mut by_estimate = candidates.clone();
+            by_estimate.sort_by_key(|&i| (estimate(i), i));
+            // The running minimum of (visible count, input index); its
+            // count is exact. A later candidate is counted only up to the
+            // count it must stay under to win, so a count it returns at
+            // that cap is a lower bound that loses.
+            let mut best: Option<(usize, usize)> = None;
+            for i in by_estimate {
+                let n = match best {
+                    // A pattern with no visible match empties the join,
+                    // and reads nothing, whichever such pattern runs first.
+                    Some((_, 0)) => break,
+                    None => count(i, usize::MAX),
+                    Some((b, nb)) => count(i, nb + usize::from(i < b)),
+                };
+                if best.is_none_or(|(b, nb)| (n, i) < (nb, b)) {
+                    best = Some((i, n));
+                }
+            }
+            best.expect("candidates are non-empty").0
         };
         remaining.retain(|&i| i != chosen);
         for s in pats[chosen].slots() {
@@ -883,85 +976,6 @@ fn greedy_order(
         order.push(chosen);
     }
     order
-}
-
-/// Greedy plan over lowered patterns ([`greedy_order`]). Cardinality
-/// comes from the exact index ranges ([`Graph::estimate`] semantics) and,
-/// for patterns joined through an already-bound variable on a constant
-/// predicate, is refined by the per-predicate run statistics to the
-/// expected per-probe fan-out (`triples / distinct key values`) — a chain
-/// probe over a functional property scores far below its raw triple count.
-fn plan_ids(graph: &Graph, pats: &[IdPattern], bound: Vec<bool>) -> Vec<usize> {
-    greedy_order(pats, bound, |candidates, bound| {
-        let score = |pat: &IdPattern| {
-            let mut card = pat.estimate(graph);
-            let bound_key = |slot: Slot| matches!(slot, Slot::Var(v) if bound[v]);
-            if let Slot::Const(p) = pat.p {
-                if bound_key(pat.s) || bound_key(pat.o) {
-                    let st = graph.pred_stats(p);
-                    let keys = if bound_key(pat.s) {
-                        st.distinct_subjects
-                    } else {
-                        st.distinct_objects
-                    };
-                    card = card.min((st.triples / keys.max(1)).max(1));
-                }
-            }
-            card
-        };
-        *candidates
-            .iter()
-            .min_by_key(|&&i| score(&pats[i]))
-            .expect("candidates are non-empty")
-    })
-}
-
-/// The join order of a masked evaluation. [`plan_ids`] scores patterns
-/// with whole-graph statistics, which count hidden triples:
-/// an order taken from them would let data the role cannot see decide
-/// which visible triples a request reads, and so what it is charged
-/// (`gsacs.scanned`). Here ([`greedy_order`]) a candidate scores its
-/// number of *visible* matches over its constant positions, ties broken
-/// by input order, so the order, like the charge, is a function of the
-/// visible subgraph alone. Visible counts are taken lazily and only as
-/// far as a comparison needs; whole-graph estimates merely decide which
-/// candidate is counted first.
-fn plan_visible(src: &Source<'_>, pats: &[IdPattern], bound: Vec<bool>) -> Vec<usize> {
-    // Per pattern: the visible matches counted so far, and whether the
-    // count is complete (otherwise it is a lower bound).
-    let mut counted: Vec<(usize, bool)> = vec![(0, false); pats.len()];
-    let mut count = |i: usize, cap: usize| -> usize {
-        let (n, exact) = counted[i];
-        if exact || n >= cap {
-            return n;
-        }
-        let [s, p, o] = pats[i].consts();
-        let n = src.visible_count(s, p, o, cap);
-        counted[i] = (n, n < cap);
-        n
-    };
-    greedy_order(pats, bound, |candidates, _| {
-        let mut by_estimate = candidates.to_vec();
-        by_estimate.sort_by_key(|&i| (pats[i].estimate(src.graph), i));
-        // The running minimum of (visible count, input index); its count
-        // is exact. A later candidate is counted only up to the count it
-        // must stay under to win, so a count it returns at that cap is a
-        // lower bound that loses.
-        let mut best: Option<(usize, usize)> = None;
-        for i in by_estimate {
-            let n = match best {
-                // A pattern with no visible match empties the join, and
-                // reads nothing, whichever such pattern runs first.
-                Some((_, 0)) => break,
-                None => count(i, usize::MAX),
-                Some((b, nb)) => count(i, nb + usize::from(i < b)),
-            };
-            if best.is_none_or(|(b, nb)| (n, i) < (nb, b)) {
-                best = Some((i, n));
-            }
-        }
-        best.expect("candidates are non-empty").0
-    })
 }
 
 /// First index in `col[lo..]` holding a value `>= key` (strict=false) or
@@ -983,115 +997,78 @@ fn gallop(col: &[TermId], lo: usize, key: TermId, strict: bool) -> usize {
     base + 1 + col[base + 1..hi].partition_point(|&v| !past(v))
 }
 
-/// Id-columnar BGP evaluation: rows of `TermId` joined pattern-by-pattern
-/// in plan order. Patterns joined through a bound object on a clean
-/// predicate run use a galloping sorted merge over the zero-copy POS
-/// slices; disconnected patterns scan once and cross; everything else
-/// falls back to per-row sorted index probes. No term materializes here.
+/// Join `input` with the conjunction `triples`, pattern by pattern in plan
+/// order. A pattern joined through a bound object on a clean predicate run
+/// gallops a sorted merge over the zero-copy POS slice; one sharing no
+/// column with the rows scans once and crosses; any other probes the
+/// index once per row. A column that some row leaves unbound probes with
+/// its value where set and binds the matched value where not. No term
+/// materializes here.
 fn eval_bgp_ids(
     src: &Source<'_>,
     triples: &[&TriplePattern],
+    input: IdTable,
     deadline: &Deadline,
 ) -> Result<IdTable, DeadlineExceeded> {
+    if triples.is_empty() {
+        return Ok(input);
+    }
     let graph = src.graph;
     let Some((pats, vars)) = lower_bgp(graph, triples.iter().copied()) else {
-        return Ok(IdTable::default()); // an unknown constant matches nothing
+        return Ok(IdTable::empty(input.vars)); // an unknown constant matches nothing
     };
+    let mut rows = input;
+    // The column of each of the BGP's variables, once one exists.
+    let mut col_of: Vec<Option<usize>> = vars.iter().map(|v| rows.col(v)).collect();
+    let mut nullable: Vec<bool> = (0..rows.width())
+        .map(|c| rows.column(c).any(|id| id == UNBOUND))
+        .collect();
     let order = {
         let _span = grdf_obs::span("query.plan");
-        let unbound = vec![false; vars.len()];
-        if src.mask.is_some() {
-            plan_visible(src, &pats, unbound)
-        } else {
-            plan_ids(graph, &pats, unbound)
-        }
+        plan_visible(src, &pats, col_of.iter().map(Option::is_some).collect())
     };
 
     let _span = grdf_obs::span("query.join");
-    // Column layout grows as patterns bind variables; the rows live in
-    // one flat buffer, `width` ids each.
-    let mut col_of: Vec<Option<usize>> = vec![None; vars.len()];
-    let mut col_var: Vec<usize> = Vec::new();
-    let mut rows = IdRows {
-        width: 0,
-        len: 1,
-        ids: Vec::new(),
-    };
-
     for pi in order {
-        let pat = &pats[pi];
-        // Resolve each position against the current column layout.
-        #[derive(Clone, Copy)]
-        enum P {
-            Const(TermId),
-            Bound(usize),
-            New,
+        if rows.len == 0 {
+            break;
         }
-        let mut emits: Vec<(usize, Option<usize>)> = Vec::new(); // (component, check col)
-        let mut resolved = [P::New; 3];
-        for (ci, slot) in pat.slots().into_iter().enumerate() {
-            resolved[ci] = match slot {
-                Slot::Const(id) => P::Const(id),
-                Slot::Var(v) => {
-                    if let Some(c) = col_of[v] {
-                        P::Bound(c)
-                    } else {
-                        // First occurrence binds a fresh column; a repeat
-                        // inside the same pattern checks against it.
-                        let repeat = emits
-                            .iter()
-                            .find(|&&(c0, _)| matches!(pat.slots()[c0], Slot::Var(v0) if v0 == v));
-                        if let Some(&(c0, _)) = repeat {
-                            let col = col_var.len() + emits.iter().position(|e| e.0 == c0).unwrap();
-                            emits.push((ci, Some(col)));
-                        } else {
-                            col_of[v] = Some(
-                                col_var.len() + emits.iter().filter(|e| e.1.is_none()).count(),
-                            );
-                            emits.push((ci, None));
-                        }
-                        P::New
-                    }
+        let width = rows.width();
+        let mut next = IdTable::empty(rows.vars.clone());
+        // Each variable position's column, and the positions whose column
+        // the match fills: one this pattern adds (a repeat within the
+        // pattern then checks against it) or one some row leaves unbound.
+        let mut cols = [None; 3];
+        let mut binds: Vec<(usize, usize)> = Vec::new();
+        for (ci, slot) in pats[pi].slots().into_iter().enumerate() {
+            if let Slot::Var(v) = slot {
+                let c = *col_of[v].get_or_insert_with(|| {
+                    next.vars.push(vars[v].clone());
+                    next.vars.len() - 1
+                });
+                if c >= width || nullable[c] {
+                    binds.push((ci, c));
                 }
-            };
+                cols[ci] = Some(c);
+            }
         }
-        let probe = |row: &[TermId], ci: usize| -> Option<TermId> {
-            match resolved[ci] {
-                P::Const(id) => Some(id),
-                P::Bound(c) => Some(row[c]),
-                P::New => None,
-            }
+        let consts = pats[pi].consts();
+        // A position's probe value: its constant, or the row's id.
+        let probe = |row: &[TermId], ci: usize| {
+            consts[ci].or_else(|| row.get(cols[ci]?).copied().filter(|&id| id != UNBOUND))
         };
-        let mut next = IdRows {
-            width: rows.width + emits.iter().filter(|e| e.1.is_none()).count(),
-            len: 0,
-            ids: Vec::new(),
+        // The column a position joins through, if it was bound before.
+        let joined = |ci: usize| cols[ci].filter(|&c| c < width);
+        let emit = |next: &mut IdTable, row: &[TermId], t: [TermId; 3]| {
+            next.push_bound(row, binds.iter().map(|&(ci, c)| (c, t[ci])));
         };
-        let emit_row = |row: &[TermId], s: TermId, p: TermId, o: TermId, next: &mut IdRows| {
-            let comp = [s, p, o];
-            let start = next.ids.len();
-            next.ids.extend_from_slice(row);
-            for &(ci, check) in &emits {
-                match check {
-                    None => next.ids.push(comp[ci]),
-                    Some(col) => {
-                        if next.ids[start + col] != comp[ci] {
-                            next.ids.truncate(start);
-                            return;
-                        }
-                    }
-                }
-            }
-            next.len += 1;
-        };
-
-        let bound_cols = resolved.iter().any(|p| matches!(p, P::Bound(_)));
 
         // Merge-join fast path: constant predicate with a clean run
-        // slice, joined through the bound object column. Rows sort by
-        // the key and the POS slice gallops forward in lockstep.
-        let merge = match (resolved[1], resolved[2]) {
-            (P::Const(pid), P::Bound(oc)) if !matches!(resolved[0], P::Bound(_)) => graph
+        // slice, joined through the object column bound in every row.
+        // Rows sort by the key and the POS slice gallops forward in
+        // lockstep.
+        let merge = match (consts[1], joined(2)) {
+            (Some(pid), Some(oc)) if !nullable[oc] && joined(0).is_none() => graph
                 .pred_slices(pid)
                 .map(|(objs, subs)| (pid, oc, objs, subs)),
             _ => None,
@@ -1109,118 +1086,89 @@ fn eval_bgp_ids(
                 let key = row[oc];
                 lo = gallop(objs, lo, key, false);
                 let hi = gallop(objs, lo, key, true);
-                match resolved[0] {
-                    P::New => {
-                        for &s in &subs[lo..hi] {
-                            if src.visible(s, pid) {
-                                read += 1;
-                                emit_row(row, s, pid, key, &mut next);
-                            }
+                let mut take = |s: TermId| {
+                    if src.visible(s, pid) {
+                        read += 1;
+                        emit(&mut next, row, [s, pid, key]);
+                    }
+                };
+                match consts[0] {
+                    Some(sid) => {
+                        if subs[lo..hi].binary_search(&sid).is_ok() {
+                            take(sid);
                         }
                     }
-                    P::Const(sid) => {
-                        if subs[lo..hi].binary_search(&sid).is_ok() && src.visible(sid, pid) {
-                            read += 1;
-                            emit_row(row, sid, pid, key, &mut next);
-                        }
-                    }
-                    P::Bound(_) => unreachable!("excluded above"),
+                    None => subs[lo..hi].iter().for_each(|&s| take(s)),
                 }
             }
-            src.charge(read as u64);
-        } else if bound_cols {
-            // Generic probe: sort rows by the first bound column so
+            src.charge(read);
+        } else if let Some(key) = (0..3).find_map(joined) {
+            // Generic probe: sort rows by the first join column so
             // successive index probes touch adjacent ranges.
-            let sort_key = (0..3).find_map(|ci| match resolved[ci] {
-                P::Bound(c) => Some(c),
-                _ => None,
-            });
             let mut idx: Vec<usize> = (0..rows.len).collect();
-            if let Some(c) = sort_key {
-                idx.sort_unstable_by_key(|&i| rows.row(i)[c]);
-            }
+            idx.sort_unstable_by_key(|&i| rows.row(i)[key]);
             for &i in &idx {
                 deadline.check()?;
                 let row = rows.row(i);
                 src.for_each_ids(probe(row, 0), probe(row, 1), probe(row, 2), |s, p, o| {
-                    emit_row(row, s, p, o, &mut next);
+                    emit(&mut next, row, [s, p, o]);
                 });
             }
         } else {
             // No join column: the match set is row-independent. Scan
             // once, then cross with the current rows.
             deadline.check()?;
-            let mut matches: Vec<(TermId, TermId, TermId)> = Vec::new();
-            src.for_each_ids(probe(&[], 0), probe(&[], 1), probe(&[], 2), |s, p, o| {
-                matches.push((s, p, o));
+            let mut matches = Vec::new();
+            src.for_each_ids(consts[0], consts[1], consts[2], |s, p, o| {
+                matches.push([s, p, o]);
             });
             for i in 0..rows.len {
                 deadline.check()?;
-                for &(s, p, o) in &matches {
-                    emit_row(rows.row(i), s, p, o, &mut next);
+                for &t in &matches {
+                    emit(&mut next, rows.row(i), t);
                 }
             }
         }
 
-        for &(ci, check) in &emits {
-            if check.is_none() {
-                if let Slot::Var(v) = pat.slots()[ci] {
-                    col_var.push(v);
-                }
+        // Every row the pattern matched binds its variables.
+        for &(_, c) in &binds {
+            if c < width {
+                nullable[c] = false;
             }
         }
+        nullable.resize(next.width(), false);
         rows = next;
-        if rows.len == 0 {
-            break;
-        }
     }
 
     grdf_obs::add("query.join.rows", rows.len as u64);
-    Ok(IdTable {
-        vars: col_var.iter().map(|&v| vars[v].clone()).collect(),
-        rows,
-    })
+    Ok(rows)
 }
 
-fn match_one(src: &Source<'_>, t: &TriplePattern, binding: &Bindings, out: &mut Vec<Bindings>) {
-    let s = resolve(&t.subject, binding);
-    let p = resolve(&t.predicate, binding);
-    let o = resolve(&t.object, binding);
-    src.for_each(s.as_ref(), p.as_ref(), o.as_ref(), |found| {
-        let mut b = binding.clone();
-        let ok = bind(&mut b, &t.subject, &found.subject)
-            && bind(&mut b, &t.predicate, &found.predicate)
-            && bind(&mut b, &t.object, &found.object);
-        if ok {
-            out.push(b);
-        }
-    });
-}
-
-/// Enumerate `(start, end)` pairs satisfying a property path, under
+/// Enumerate the `(start, end)` id pairs a property path relates, under
 /// optional endpoint constraints. Recursive closure operators use BFS when
 /// one endpoint is bound and pair-set iteration otherwise.
 fn path_pairs(
     src: &Source<'_>,
-    path: &crate::ast::PropertyPath,
-    s: Option<&Term>,
-    o: Option<&Term>,
+    path: &PropertyPath,
+    s: Option<TermId>,
+    o: Option<TermId>,
     deadline: &Deadline,
-) -> Result<Vec<(Term, Term)>, DeadlineExceeded> {
-    use crate::ast::PropertyPath as P;
+) -> Result<Vec<(TermId, TermId)>, DeadlineExceeded> {
     Ok(match path {
-        P::Iri(p) => {
+        PropertyPath::Iri(p) => {
             let mut out = Vec::new();
-            src.for_each(s, Some(p), o, |t| out.push((t.subject, t.object)));
+            if let Some(p) = src.graph.term_id(p) {
+                src.for_each_ids(s, Some(p), o, |s, _, o| out.push((s, o)));
+            }
             out
         }
-        P::Inverse(inner) => path_pairs(src, inner, o, s, deadline)?
+        PropertyPath::Inverse(inner) => path_pairs(src, inner, o, s, deadline)?
             .into_iter()
             .map(|(a, b)| (b, a))
             .collect(),
-        P::Alternative(l, r) => {
+        PropertyPath::Alternative(l, r) => {
             let mut out = path_pairs(src, l, s, o, deadline)?;
-            let seen: HashSet<(Term, Term)> = out.iter().cloned().collect();
+            let seen: HashSet<(TermId, TermId)> = out.iter().copied().collect();
             out.extend(
                 path_pairs(src, r, s, o, deadline)?
                     .into_iter()
@@ -1228,19 +1176,19 @@ fn path_pairs(
             );
             out
         }
-        P::Sequence(a, b) => {
+        PropertyPath::Sequence(a, b) => {
             let mut out = Vec::new();
             let mut seen = HashSet::new();
             if s.is_some() || o.is_none() {
                 // Forward: expand `a` from the (possibly unbound) start.
                 for (sa, mid) in path_pairs(src, a, s, None, deadline)? {
                     deadline.check()?;
-                    if !mid.is_resource() {
+                    if !src.term_of(mid).is_resource() {
                         continue;
                     }
-                    for (_, ob) in path_pairs(src, b, Some(&mid), o, deadline)? {
-                        if seen.insert((sa.clone(), ob.clone())) {
-                            out.push((sa.clone(), ob));
+                    for (_, ob) in path_pairs(src, b, Some(mid), o, deadline)? {
+                        if seen.insert((sa, ob)) {
+                            out.push((sa, ob));
                         }
                     }
                 }
@@ -1248,90 +1196,77 @@ fn path_pairs(
                 // Backward: only the object is bound.
                 for (mid, ob) in path_pairs(src, b, None, o, deadline)? {
                     deadline.check()?;
-                    for (sa, _) in path_pairs(src, a, None, Some(&mid), deadline)? {
-                        if seen.insert((sa.clone(), ob.clone())) {
-                            out.push((sa, ob.clone()));
+                    for (sa, _) in path_pairs(src, a, None, Some(mid), deadline)? {
+                        if seen.insert((sa, ob)) {
+                            out.push((sa, ob));
                         }
                     }
                 }
             }
             out
         }
-        P::OneOrMore(inner) => closure_pairs(src, inner, s, o, false, deadline)?,
-        P::ZeroOrMore(inner) => closure_pairs(src, inner, s, o, true, deadline)?,
+        PropertyPath::OneOrMore(inner) => closure_pairs(src, inner, s, o, false, deadline)?,
+        PropertyPath::ZeroOrMore(inner) => closure_pairs(src, inner, s, o, true, deadline)?,
     })
 }
 
 /// Transitive closure of a path, optionally reflexive.
 fn closure_pairs(
     src: &Source<'_>,
-    inner: &crate::ast::PropertyPath,
-    s: Option<&Term>,
-    o: Option<&Term>,
+    inner: &PropertyPath,
+    s: Option<TermId>,
+    o: Option<TermId>,
     reflexive: bool,
     deadline: &Deadline,
-) -> Result<Vec<(Term, Term)>, DeadlineExceeded> {
-    let mut out: Vec<(Term, Term)> = Vec::new();
-    let emit_from = |start: &Term, out: &mut Vec<(Term, Term)>| -> Result<(), DeadlineExceeded> {
+) -> Result<Vec<(TermId, TermId)>, DeadlineExceeded> {
+    let mut out = Vec::new();
+    let emit_from = |start: TermId, out: &mut Vec<(TermId, TermId)>| {
         // BFS over the inner path from `start`.
-        let mut reached: HashSet<Term> = HashSet::new();
-        let mut frontier = vec![start.clone()];
+        let mut reached = HashSet::new();
+        let mut frontier = vec![start];
         if reflexive {
-            reached.insert(start.clone());
+            reached.insert(start);
         }
         while let Some(cur) = frontier.pop() {
             deadline.check()?;
-            for (_, next) in path_pairs(src, inner, Some(&cur), None, deadline)? {
-                if reached.insert(next.clone()) && next.is_resource() {
+            for (_, next) in path_pairs(src, inner, Some(cur), None, deadline)? {
+                if reached.insert(next) && src.term_of(next).is_resource() {
                     frontier.push(next);
                 }
             }
         }
-        for r in reached {
-            if o.is_none_or(|oo| *oo == r) {
-                out.push((start.clone(), r));
-            }
-        }
-        Ok(())
+        out.extend(
+            reached
+                .into_iter()
+                .filter(|&r| o.is_none_or(|end| end == r))
+                .map(|r| (start, r)),
+        );
+        Ok::<(), DeadlineExceeded>(())
     };
 
     match (s, o) {
         (Some(start), _) => emit_from(start, &mut out)?,
         (None, Some(end)) => {
             // Reverse BFS via the inverse path, then flip.
-            let inv = crate::ast::PropertyPath::Inverse(Box::new(inner.clone()));
-            for (e, sfound) in closure_pairs(src, &inv, Some(end), None, reflexive, deadline)? {
-                debug_assert_eq!(&e, end);
-                out.push((sfound, e));
+            let inv = PropertyPath::Inverse(Box::new(inner.clone()));
+            for (e, found) in closure_pairs(src, &inv, Some(end), None, reflexive, deadline)? {
+                debug_assert_eq!(e, end);
+                out.push((found, e));
             }
         }
         (None, None) => {
             // All starting points: every subject of an inner step.
-            let mut starts: HashSet<Term> = HashSet::new();
+            let mut starts = HashSet::new();
             for (a, _) in path_pairs(src, inner, None, None, deadline)? {
                 starts.insert(a);
             }
             for start in starts {
                 deadline.check()?;
-                emit_from(&start, &mut out)?;
+                emit_from(start, &mut out)?;
             }
         }
     }
     Ok(out)
-}
-
-fn bind(b: &mut Bindings, slot: &TermOrVar, value: &Term) -> bool {
-    match slot {
-        TermOrVar::Term(_) => true,
-        TermOrVar::Var(v) => {
-            if let Some(existing) = b.get(v) {
-                existing == value
-            } else {
-                b.insert(v.clone(), value.clone());
-                true
-            }
-        }
-    }
 }
 
 /// Expression evaluation values. Terms are borrowed from the query or,
@@ -1382,17 +1317,16 @@ impl<'a> EvalValue<'a> {
     }
 }
 
-fn eval_expr<'a, R: Row>(
+fn eval_expr<'a>(
     src: &Source<'_>,
     e: &'a Expr,
-    row: &'a R,
+    row: &'a IdRow<'a>,
     deadline: &Deadline,
 ) -> Option<EvalValue<'a>> {
-    let g = src.graph;
     match e {
         Expr::Const(t) => Some(EvalValue::Term(t)),
         Expr::Var(v) => row.term(v).map(EvalValue::Term),
-        Expr::Bound(v) => Some(EvalValue::Bool(row.term(v).is_some())),
+        Expr::Bound(v) => Some(EvalValue::Bool(row.id(v).is_some())),
         Expr::Not(inner) => {
             let v = eval_expr(src, inner, row, deadline)?.truthy()?;
             Some(EvalValue::Bool(!v))
@@ -1434,7 +1368,7 @@ fn eval_expr<'a, R: Row>(
             x1,
             y1,
         } => {
-            let env = src.envelope(row.id(g, feature)?)?;
+            let env = src.envelope(row.id(feature)?)?;
             let query = grdf_geometry::envelope::Envelope::new(
                 grdf_geometry::coord::Coord::xy(*x0, *y0),
                 grdf_geometry::coord::Coord::xy(*x1, *y1),
@@ -1444,39 +1378,32 @@ fn eval_expr<'a, R: Row>(
         // The two-feature builtins read no extent unless both features
         // are bound, so an unbound one costs no read (and no charge).
         Expr::Within { inner, outer } => {
-            row.term(inner).and(row.term(outer))?;
-            let ei = src.envelope(row.id(g, inner)?)?;
-            let eo = src.envelope(row.id(g, outer)?)?;
+            let (inner, outer) = (row.id(inner)?, row.id(outer)?);
+            let ei = src.envelope(inner)?;
+            let eo = src.envelope(outer)?;
             Some(EvalValue::Bool(eo.contains_envelope(&ei)))
         }
         // Planar distance between the centers of the two extents.
         Expr::Distance { a, b } => {
-            row.term(a).and(row.term(b))?;
-            let ea = src.envelope(row.id(g, a)?)?;
-            let eb = src.envelope(row.id(g, b)?)?;
+            let (a, b) = (row.id(a)?, row.id(b)?);
+            let ea = src.envelope(a)?;
+            let eb = src.envelope(b)?;
             Some(EvalValue::Num(ea.center().distance_2d(&eb.center())))
         }
-        // EXISTS materializes only the row it tests.
-        Expr::Exists(p) => {
-            let found = !eval_pattern(src, p, vec![row.to_bindings()], deadline)
-                .ok()?
-                .is_empty();
-            Some(EvalValue::Bool(found))
-        }
-        Expr::NotExists(p) => {
-            let found = !eval_pattern(src, p, vec![row.to_bindings()], deadline)
-                .ok()?
-                .is_empty();
-            Some(EvalValue::Bool(!found))
+        // EXISTS evaluates its pattern on a table of the row it tests.
+        Expr::Exists(p) | Expr::NotExists(p) => {
+            let row = IdTable::of_row(row.vars, row.ids);
+            let found = eval_pattern(src, p, row, deadline).ok()?.len > 0;
+            Some(EvalValue::Bool(found == matches!(e, Expr::Exists(_))))
         }
     }
 }
 
-fn compare<'a, R: Row>(
+fn compare<'a>(
     src: &Source<'_>,
     l: &'a Expr,
     r: &'a Expr,
-    row: &'a R,
+    row: &'a IdRow<'a>,
     deadline: &Deadline,
     test: fn(Ordering) -> bool,
 ) -> Option<EvalValue<'a>> {
@@ -1506,7 +1433,6 @@ fn compare_terms(a: Option<&Term>, b: Option<&Term>) -> Ordering {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1557,7 +1483,7 @@ mod tests {
     /// The unmasked join order of `patterns` with nothing bound yet.
     fn plan<'a>(g: &Graph, patterns: &'a [TriplePattern]) -> Vec<&'a TriplePattern> {
         let (pats, vars) = lower_bgp(g, patterns).expect("every constant is interned");
-        plan_ids(g, &pats, vec![false; vars.len()])
+        plan_visible(&Source::new(g, None), &pats, vec![false; vars.len()])
             .into_iter()
             .map(|i| &patterns[i])
             .collect()
@@ -2272,6 +2198,10 @@ mod tests {
             ("SELECT ?n WHERE { app:s0 app:hasSiteName ?n . ?x app:secret 3 }", 0),
             ("SELECT ?n WHERE { ?s app:hasSiteName ?n . ?s app:secret ?v }", 0),
             ("SELECT ?n WHERE { ?s a app:ChemSite . OPTIONAL { ?s app:hasSiteName ?n . ?s app:secret ?v } }", 5),
+            // A variable some rows leave unbound: the later pattern joins
+            // where it is bound and binds it where it is not.
+            ("SELECT ?s ?t WHERE { ?s a ?c OPTIONAL { ?s g:hasGeometry ?t } ?t g:asWKT ?w }", 8),
+            ("SELECT ?s ?t WHERE { { ?s a app:Zone } UNION { ?s g:hasGeometry ?t } ?t g:asWKT ?w }", 8),
         ] {
             let q = format!("{prefix}{body}");
             let (got, examined) = execute_masked(&g, &mask, &q, &Deadline::never()).unwrap();

@@ -35,7 +35,7 @@
 
 use std::fmt;
 
-use crate::graph::{Graph, IndexMode, TermId};
+use crate::graph::{Graph, TermId};
 use crate::term::{Literal, Term, Triple};
 
 /// Leading magic of an encoded graph block.
@@ -384,7 +384,7 @@ pub fn decode_graph(bytes: &[u8]) -> Result<Graph, CodecError> {
             id_triples.sort_unstable();
             id_triples.dedup();
         }
-        Graph::from_parts(table, id_triples, IndexMode::Full)
+        Graph::from_parts(table, id_triples)
     } else {
         // v1 replay: ids are in first-appearance order, so triples are
         // re-inserted one at a time through the interner.

@@ -22,10 +22,6 @@
 //! This is the binary-index/novelty split of LSM ledgers (Fluree's
 //! `fluree-db-binary-index`), sized down to a single-run store: compaction
 //! here is a merge, not a leveled hierarchy.
-//!
-//! [`IndexMode::SpoOnly`] disables the two secondary orders; it exists for
-//! the index ablation in the benchmark suite (experiment E1c) and falls
-//! back to scanning.
 
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -68,15 +64,6 @@ impl Interner {
     fn resolve(&self, id: Id) -> &Term {
         &self.terms[id as usize]
     }
-}
-
-/// Which indexes the graph maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// SPO + POS + OSP (the default; any pattern is a range scan).
-    Full,
-    /// SPO only; `?s p o`-style patterns degrade to scans. For ablation.
-    SpoOnly,
 }
 
 /// One sorted id-columnar index: three parallel columns (struct of
@@ -192,114 +179,16 @@ impl Cols {
     }
 }
 
-/// Per-predicate statistics computed at compaction time — the query
-/// planner's cost-model input. Counts describe the *run* (novelty is
-/// folded in approximately by [`Graph::pred_stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PredStats {
-    /// Triples with this predicate.
-    pub triples: usize,
-    /// Distinct subjects among them.
-    pub distinct_subjects: usize,
-    /// Distinct objects among them.
-    pub distinct_objects: usize,
-}
-
-/// The immutable compacted base: the same triple set in up to three
-/// column orders, plus per-predicate statistics. Shared across clones via
-/// `Arc` (copy-on-compact).
+/// The immutable compacted base: the same triple set in three column
+/// orders. Shared across clones via `Arc` (copy-on-compact).
 #[derive(Debug, Default)]
 struct Run {
     spo: Cols,
     pos: Cols,
     osp: Cols,
-    /// Lazily computed on first planner query: materialization absorbs
-    /// rebuild the run every pass and never consult statistics, so
-    /// computing them eagerly would tax the hottest write path for the
-    /// benefit of a reader that may never arrive.
-    stats: OnceLock<HashMap<Id, PredStats>>,
 }
 
-impl Run {
-    fn stats(&self) -> &HashMap<Id, PredStats> {
-        self.stats.get_or_init(|| {
-            // Full-mode runs keep every order (pos mirrors spo); SpoOnly
-            // runs have an empty pos and fall back to the SPO scan.
-            if self.pos.len() == self.spo.len() {
-                stats_from_pos(&self.pos)
-            } else {
-                stats_from_spo(&self.spo)
-            }
-        })
-    }
-}
-
-/// Per-predicate counts from the POS order (predicate-grouped: one pass,
-/// adjacency gives distinct objects, a per-group sort gives subjects).
-fn stats_from_pos(pos: &Cols) -> HashMap<Id, PredStats> {
-    let mut stats: HashMap<Id, PredStats> = HashMap::new();
-    let mut i = 0;
-    let n = pos.len();
-    let mut subjects: Vec<Id> = Vec::new();
-    while i < n {
-        let p = pos.a[i];
-        let mut j = i;
-        let mut distinct_objects = 0;
-        let mut last_o: Option<Id> = None;
-        subjects.clear();
-        while j < n && pos.a[j] == p {
-            if last_o != Some(pos.b[j]) {
-                distinct_objects += 1;
-                last_o = Some(pos.b[j]);
-            }
-            subjects.push(pos.c[j]);
-            j += 1;
-        }
-        subjects.sort_unstable();
-        subjects.dedup();
-        stats.insert(
-            p,
-            PredStats {
-                triples: j - i,
-                distinct_subjects: subjects.len(),
-                distinct_objects,
-            },
-        );
-        i = j;
-    }
-    stats
-}
-
-/// Per-predicate counts from the SPO order (SpoOnly mode: predicates are
-/// scattered in column `b`, so bucket then dedup).
-fn stats_from_spo(spo: &Cols) -> HashMap<Id, PredStats> {
-    let mut buckets: HashMap<Id, (Vec<Id>, Vec<Id>, usize)> = HashMap::new();
-    for i in 0..spo.len() {
-        let e = buckets.entry(spo.b[i]).or_default();
-        e.0.push(spo.a[i]);
-        e.1.push(spo.c[i]);
-        e.2 += 1;
-    }
-    buckets
-        .into_iter()
-        .map(|(p, (mut ss, mut os, n))| {
-            ss.sort_unstable();
-            ss.dedup();
-            os.sort_unstable();
-            os.dedup();
-            (
-                p,
-                PredStats {
-                    triples: n,
-                    distinct_subjects: ss.len(),
-                    distinct_objects: os.len(),
-                },
-            )
-        })
-        .collect()
-}
-
-/// The mutable novelty overlay: the same small triple set in up to three
+/// The mutable novelty overlay: the same small triple set in three
 /// orders (ordered sets so range scans stay sorted), plus, per order, a
 /// bitset of the first-column ids the set has held since it was last
 /// cleared. A probe whose first id has no bit skips the overlay with one
@@ -324,16 +213,14 @@ impl Novelty {
         self.spo.is_empty()
     }
 
-    fn insert(&mut self, (s, p, o): IdTriple, mode: IndexMode) -> bool {
+    fn insert(&mut self, (s, p, o): IdTriple) -> bool {
         let added = self.spo.insert((s, p, o));
         if added {
+            self.pos.insert((p, o, s));
+            self.osp.insert((o, s, p));
             self.mark(Order::Spo, s);
-            if mode == IndexMode::Full {
-                self.pos.insert((p, o, s));
-                self.osp.insert((o, s, p));
-                self.mark(Order::Pos, p);
-                self.mark(Order::Osp, o);
-            }
+            self.mark(Order::Pos, p);
+            self.mark(Order::Osp, o);
         }
         added
     }
@@ -354,9 +241,9 @@ impl Novelty {
             .is_some_and(|w| w >> (id % 64) & 1 == 1)
     }
 
-    fn remove(&mut self, (s, p, o): IdTriple, mode: IndexMode) -> bool {
+    fn remove(&mut self, (s, p, o): IdTriple) -> bool {
         let removed = self.spo.remove(&(s, p, o));
-        if removed && mode == IndexMode::Full {
+        if removed {
             self.pos.remove(&(p, o, s));
             self.osp.remove(&(o, s, p));
         }
@@ -390,7 +277,6 @@ pub struct Graph {
     /// Tombstones: run entries removed since the last compaction.
     /// A subset of the run, disjoint from `delta`.
     dead: Novelty,
-    mode: IndexMode,
     blank_counter: u64,
     /// Append-only insertion log (id triples, in insertion order). The
     /// length of this log is the graph's *generation*; a slice of it is a
@@ -409,28 +295,17 @@ impl Default for Graph {
 }
 
 impl Graph {
-    /// Empty graph with all three indexes.
+    /// Empty graph.
     pub fn new() -> Graph {
-        Graph::with_index_mode(IndexMode::Full)
-    }
-
-    /// Empty graph with an explicit index configuration.
-    pub fn with_index_mode(mode: IndexMode) -> Graph {
         Graph {
             interner: Interner::default(),
             run: Arc::new(Run::default()),
             delta: Novelty::default(),
             dead: Novelty::default(),
-            mode,
             blank_counter: 0,
             log: Vec::new(),
             removals: 0,
         }
-    }
-
-    /// The index configuration of this graph.
-    pub fn index_mode(&self) -> IndexMode {
-        self.mode
     }
 
     /// Number of triples.
@@ -476,13 +351,13 @@ impl Graph {
         if self.run.spo.contains(t) {
             // Present in the run: live unless tombstoned; a tombstoned
             // entry is resurrected by clearing the tombstone.
-            if self.dead.remove(t, self.mode) {
+            if self.dead.remove(t) {
                 self.log.push(t);
                 return true;
             }
             return false;
         }
-        self.delta.insert(t, self.mode);
+        self.delta.insert(t);
         self.log.push(t);
         true
     }
@@ -511,25 +386,16 @@ impl Graph {
     /// are sorted, never the run itself.
     fn rebuild(&mut self, extra_spo: &[IdTriple]) {
         let spo_t = merge_live(&self.run.spo, &self.dead.spo, &self.delta.spo, extra_spo);
-        let spo = Cols::from_sorted(&spo_t);
-        let (pos, osp) = if self.mode == IndexMode::Full {
-            let mut extra_pos: Vec<IdTriple> =
-                extra_spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
-            extra_pos.sort_unstable();
-            let pos_t = merge_live(&self.run.pos, &self.dead.pos, &self.delta.pos, &extra_pos);
-            let mut extra_osp: Vec<IdTriple> =
-                extra_spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
-            extra_osp.sort_unstable();
-            let osp_t = merge_live(&self.run.osp, &self.dead.osp, &self.delta.osp, &extra_osp);
-            (Cols::from_sorted(&pos_t), Cols::from_sorted(&osp_t))
-        } else {
-            (Cols::default(), Cols::default())
-        };
+        let mut extra_pos: Vec<IdTriple> = extra_spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
+        extra_pos.sort_unstable();
+        let pos_t = merge_live(&self.run.pos, &self.dead.pos, &self.delta.pos, &extra_pos);
+        let mut extra_osp: Vec<IdTriple> = extra_spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        extra_osp.sort_unstable();
+        let osp_t = merge_live(&self.run.osp, &self.dead.osp, &self.delta.osp, &extra_osp);
         self.run = Arc::new(Run {
-            spo,
-            pos,
-            osp,
-            stats: OnceLock::new(),
+            spo: Cols::from_sorted(&spo_t),
+            pos: Cols::from_sorted(&pos_t),
+            osp: Cols::from_sorted(&osp_t),
         });
         self.delta.clear();
         self.dead.clear();
@@ -541,21 +407,14 @@ impl Graph {
     /// derived by one permutation sort.
     fn set_run(&mut self, sorted_spo: &[IdTriple]) {
         debug_assert!(self.delta.is_empty() && self.dead.is_empty());
-        let spo = Cols::from_sorted(sorted_spo);
-        let (pos, osp) = if self.mode == IndexMode::Full {
-            let mut pos_t: Vec<IdTriple> = sorted_spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
-            pos_t.sort_unstable();
-            let mut osp_t: Vec<IdTriple> = sorted_spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
-            osp_t.sort_unstable();
-            (Cols::from_sorted(&pos_t), Cols::from_sorted(&osp_t))
-        } else {
-            (Cols::default(), Cols::default())
-        };
+        let mut pos_t: Vec<IdTriple> = sorted_spo.iter().map(|&(s, p, o)| (p, o, s)).collect();
+        pos_t.sort_unstable();
+        let mut osp_t: Vec<IdTriple> = sorted_spo.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        osp_t.sort_unstable();
         self.run = Arc::new(Run {
-            spo,
-            pos,
-            osp,
-            stats: OnceLock::new(),
+            spo: Cols::from_sorted(sorted_spo),
+            pos: Cols::from_sorted(&pos_t),
+            osp: Cols::from_sorted(&osp_t),
         });
     }
 
@@ -760,44 +619,32 @@ impl Graph {
         o: Option<TermId>,
         mut f: F,
     ) {
-        match (s, p, o, self.mode) {
-            (Some(s), Some(p), Some(o), _) => {
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => {
                 if self.live((s, p, o)) {
                     f(s, p, o);
                 }
             }
-            (Some(s), Some(p), None, _) => {
+            (Some(s), Some(p), None) => {
                 self.scan_while(Order::Spo, Prefix::Two(s, p), |(s2, p2, o2)| f(s2, p2, o2));
             }
-            (Some(s), None, None, _) => {
+            (Some(s), None, None) => {
                 self.scan_while(Order::Spo, Prefix::One(s), |(s2, p2, o2)| f(s2, p2, o2));
             }
-            (Some(s), None, Some(o), IndexMode::Full) => {
+            (Some(s), None, Some(o)) => {
                 self.scan_while(Order::Osp, Prefix::Two(o, s), |(o2, s2, p2)| f(s2, p2, o2));
             }
-            (None, Some(p), Some(o), IndexMode::Full) => {
+            (None, Some(p), Some(o)) => {
                 self.scan_while(Order::Pos, Prefix::Two(p, o), |(p2, o2, s2)| f(s2, p2, o2));
             }
-            (None, Some(p), None, IndexMode::Full) => {
+            (None, Some(p), None) => {
                 self.scan_while(Order::Pos, Prefix::One(p), |(p2, o2, s2)| f(s2, p2, o2));
             }
-            (None, None, Some(o), IndexMode::Full) => {
+            (None, None, Some(o)) => {
                 self.scan_while(Order::Osp, Prefix::One(o), |(o2, s2, p2)| f(s2, p2, o2));
             }
-            (None, None, None, _) => {
+            (None, None, None) => {
                 self.scan_while(Order::Spo, Prefix::All, |(s2, p2, o2)| f(s2, p2, o2));
-            }
-            // SpoOnly fallbacks: scan the primary index.
-            (s, p, o, IndexMode::SpoOnly) => {
-                self.scan_while(Order::Spo, Prefix::All, |(s2, p2, o2)| {
-                    if s.is_some_and(|x| x != s2)
-                        || p.is_some_and(|x| x != p2)
-                        || o.is_some_and(|x| x != o2)
-                    {
-                        return true;
-                    }
-                    f(s2, p2, o2)
-                });
             }
         }
     }
@@ -828,75 +675,39 @@ impl Graph {
 
     /// [`Graph::estimate`] over an id pattern.
     pub fn estimate_ids(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        match (s, p, o, self.mode) {
-            (None, None, None, _) => self.len(),
-            (Some(s), Some(p), Some(o), _) => usize::from(self.live((s, p, o))),
-            (Some(s), Some(p), None, _) => self.range_count(Order::Spo, Prefix::Two(s, p)),
-            (Some(s), None, None, _) => self.range_count(Order::Spo, Prefix::One(s)),
-            (Some(s), None, Some(o), IndexMode::Full) => {
-                self.range_count(Order::Osp, Prefix::Two(o, s))
-            }
-            (None, Some(p), Some(o), IndexMode::Full) => {
-                self.range_count(Order::Pos, Prefix::Two(p, o))
-            }
-            (None, Some(p), None, IndexMode::Full) => self.range_count(Order::Pos, Prefix::One(p)),
-            (None, None, Some(o), IndexMode::Full) => self.range_count(Order::Osp, Prefix::One(o)),
-            // SpoOnly fallback: count by scanning the primary index.
-            (s, p, o, IndexMode::SpoOnly) => {
-                let mut n = 0;
-                self.for_each_match_ids(s, p, o, |_, _, _| n += 1);
-                n
-            }
+        match (s, p, o) {
+            (None, None, None) => self.len(),
+            (Some(s), Some(p), Some(o)) => usize::from(self.live((s, p, o))),
+            (Some(s), Some(p), None) => self.range_count(Order::Spo, Prefix::Two(s, p)),
+            (Some(s), None, None) => self.range_count(Order::Spo, Prefix::One(s)),
+            (Some(s), None, Some(o)) => self.range_count(Order::Osp, Prefix::Two(o, s)),
+            (None, Some(p), Some(o)) => self.range_count(Order::Pos, Prefix::Two(p, o)),
+            (None, Some(p), None) => self.range_count(Order::Pos, Prefix::One(p)),
+            (None, None, Some(o)) => self.range_count(Order::Osp, Prefix::One(o)),
         }
     }
 
     /// All live triples as id tuples in predicate-grouped (POS) order —
     /// the reasoner's bulk-seed fast path: already grouped for
     /// per-predicate batch dispatch, read straight off the POS columns
-    /// with no sort. In SpoOnly mode (no POS index) the SPO order is
-    /// collected and sorted by predicate instead.
+    /// with no sort.
     pub fn ids_by_predicate(&self) -> Vec<(TermId, TermId, TermId)> {
         let mut out = Vec::with_capacity(self.len());
-        if self.mode == IndexMode::Full {
-            if self.delta.is_empty() && self.dead.is_empty() {
-                // Fully compacted: read the three POS columns straight
-                // through, no merge machinery.
-                let pos = &self.run.pos;
-                out.extend(
-                    pos.a
-                        .iter()
-                        .zip(&pos.b)
-                        .zip(&pos.c)
-                        .map(|((&p, &o), &s)| (s, p, o)),
-                );
-                return out;
-            }
-            self.scan(Order::Pos, Prefix::All, |(p, o, s)| out.push((s, p, o)));
-        } else {
-            self.scan(Order::Spo, Prefix::All, |(s, p, o)| out.push((s, p, o)));
-            out.sort_unstable_by_key(|&(_, p, _)| p);
+        if self.delta.is_empty() && self.dead.is_empty() {
+            // Fully compacted: read the three POS columns straight
+            // through, no merge machinery.
+            let pos = &self.run.pos;
+            out.extend(
+                pos.a
+                    .iter()
+                    .zip(&pos.b)
+                    .zip(&pos.c)
+                    .map(|((&p, &o), &s)| (s, p, o)),
+            );
+            return out;
         }
+        self.scan(Order::Pos, Prefix::All, |(p, o, s)| out.push((s, p, o)));
         out
-    }
-
-    /// Planner statistics for a predicate: run-time exact triple counts
-    /// folded with the novelty delta, distinct subject/object counts from
-    /// the last compaction. Cheap (one hash lookup + one range count);
-    /// distinct counts can lag the delta until the next compaction.
-    pub fn pred_stats(&self, p: TermId) -> PredStats {
-        let mut st = self.run.stats().get(&p).copied().unwrap_or_default();
-        if !self.delta.is_empty() || !self.dead.is_empty() {
-            let lo = (p, 0, 0);
-            let hi = (p, Id::MAX, Id::MAX);
-            if self.mode == IndexMode::Full {
-                st.triples += self.delta.pos.range(lo..=hi).count();
-                st.triples -= self.dead.pos.range(lo..=hi).count();
-            } else {
-                st.triples += self.delta.spo.iter().filter(|t| t.1 == p).count();
-                st.triples -= self.dead.spo.iter().filter(|t| t.1 == p).count();
-            }
-        }
-        st
     }
 
     /// Zero-copy columnar view of all `(?, p, ?)` triples: the POS run
@@ -905,9 +716,6 @@ impl Graph {
     /// no novelty overlay (the common state right after bulk loads and
     /// compactions) — callers fall back to a collected scan otherwise.
     pub fn pred_slices(&self, p: TermId) -> Option<(&[TermId], &[TermId])> {
-        if self.mode != IndexMode::Full {
-            return None;
-        }
         let lo = (p, 0, 0);
         let hi = (p, Id::MAX, Id::MAX);
         if self.delta.pos.range(lo..=hi).next().is_some()
@@ -937,9 +745,9 @@ impl Graph {
         let mut removed = 0;
         for &t in ids {
             let gone = if self.delta.spo.contains(&t) {
-                self.delta.remove(t, self.mode)
+                self.delta.remove(t)
             } else if self.run.spo.contains(t) && !self.dead.spo.contains(&t) {
-                self.dead.insert(t, self.mode);
+                self.dead.insert(t);
                 true
             } else {
                 false
@@ -1193,11 +1001,7 @@ impl Graph {
     /// (term id = position) and sorted, unique SPO id triples. The run is
     /// constructed without any per-triple set insertion — this is the
     /// checkpoint-load fast path of `crate::codec`.
-    pub(crate) fn from_parts(
-        terms: Vec<Term>,
-        sorted_spo: Vec<IdTriple>,
-        mode: IndexMode,
-    ) -> Graph {
+    pub(crate) fn from_parts(terms: Vec<Term>, sorted_spo: Vec<IdTriple>) -> Graph {
         debug_assert!(sorted_spo.windows(2).all(|w| w[0] < w[1]));
         let ids = terms
             .iter()
@@ -1209,7 +1013,6 @@ impl Graph {
             run: Arc::new(Run::default()),
             delta: Novelty::default(),
             dead: Novelty::default(),
-            mode,
             blank_counter: 0,
             log: sorted_spo.clone(),
             removals: 0,
@@ -1450,8 +1253,8 @@ fn merge_live(
     out
 }
 
-/// Equality is triple-set equality (interner ids and index mode are
-/// representation details).
+/// Equality is triple-set equality (interner ids are a representation
+/// detail).
 impl PartialEq for Graph {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().all(|t| other.contains(&t))
@@ -1586,20 +1389,6 @@ mod tests {
     }
 
     #[test]
-    fn pred_stats_counts() {
-        let mut g = sample();
-        g.compact();
-        let p = g.term_id(&Term::iri("urn:p")).unwrap();
-        let st = g.pred_stats(p);
-        assert_eq!(st.triples, 3);
-        assert_eq!(st.distinct_subjects, 2); // urn:a, urn:b
-        assert_eq!(st.distinct_objects, 2); // urn:x, urn:y
-                                            // Novelty folds into the triple count immediately.
-        g.insert(t("urn:c", "urn:p", "urn:z"));
-        assert_eq!(g.pred_stats(p).triples, 4);
-    }
-
-    #[test]
     fn for_each_match_ids_while_stops_early() {
         let mut g = sample();
         g.compact();
@@ -1634,32 +1423,6 @@ mod tests {
         // ...until compaction folds it in.
         g.compact();
         assert_eq!(g.pred_slices(p).unwrap().0.len(), 4);
-    }
-
-    #[test]
-    fn spo_only_mode_gives_identical_answers() {
-        let full = sample();
-        let mut lean = Graph::with_index_mode(IndexMode::SpoOnly);
-        lean.extend_from(&full);
-        let a = Term::iri("urn:a");
-        let p = Term::iri("urn:p");
-        let x = Term::iri("urn:x");
-        for (s, pp, o) in [
-            (None, None, None),
-            (Some(&a), None, None),
-            (None, Some(&p), None),
-            (None, None, Some(&x)),
-            (Some(&a), Some(&p), None),
-            (Some(&a), None, Some(&x)),
-            (None, Some(&p), Some(&x)),
-            (Some(&a), Some(&p), Some(&x)),
-        ] {
-            let mut f: Vec<_> = full.match_pattern(s, pp, o);
-            let mut l: Vec<_> = lean.match_pattern(s, pp, o);
-            f.sort();
-            l.sort();
-            assert_eq!(f, l);
-        }
     }
 
     #[test]
@@ -1911,10 +1674,6 @@ mod tests {
         ] {
             assert_eq!(g.estimate(s, pp, o), g.count_pattern(s, pp, o));
         }
-        // SpoOnly mode estimates identically via the scan fallback.
-        let mut lean = Graph::with_index_mode(IndexMode::SpoOnly);
-        lean.extend_from(&g);
-        assert_eq!(lean.estimate(None, Some(&p), None), 3);
     }
 
     #[test]
@@ -1944,39 +1703,36 @@ mod tests {
 
     #[test]
     fn id_pattern_matching_mirrors_term_matching() {
-        for mode in [IndexMode::Full, IndexMode::SpoOnly] {
-            let mut g = Graph::with_index_mode(mode);
-            g.extend_from(&sample());
-            let a = g.term_id(&Term::iri("urn:a")).unwrap();
-            let p = g.term_id(&Term::iri("urn:p")).unwrap();
-            let x = g.term_id(&Term::iri("urn:x")).unwrap();
-            for (s, pp, o) in [
-                (None, None, None),
-                (Some(a), None, None),
-                (None, Some(p), None),
-                (None, None, Some(x)),
-                (Some(a), Some(p), None),
-                (Some(a), None, Some(x)),
-                (None, Some(p), Some(x)),
-                (Some(a), Some(p), Some(x)),
-            ] {
-                let mut by_id: Vec<Triple> = Vec::new();
-                g.for_each_match_ids(s, pp, o, |s2, p2, o2| {
-                    by_id.push(Triple::new(
-                        g.term_of(s2).clone(),
-                        g.term_of(p2).clone(),
-                        g.term_of(o2).clone(),
-                    ));
-                });
-                let mut by_term = g.match_pattern(
-                    s.map(|id| g.term_of(id)),
-                    pp.map(|id| g.term_of(id)),
-                    o.map(|id| g.term_of(id)),
-                );
-                by_id.sort();
-                by_term.sort();
-                assert_eq!(by_id, by_term, "mode {mode:?}");
-            }
+        let g = sample();
+        let a = g.term_id(&Term::iri("urn:a")).unwrap();
+        let p = g.term_id(&Term::iri("urn:p")).unwrap();
+        let x = g.term_id(&Term::iri("urn:x")).unwrap();
+        for (s, pp, o) in [
+            (None, None, None),
+            (Some(a), None, None),
+            (None, Some(p), None),
+            (None, None, Some(x)),
+            (Some(a), Some(p), None),
+            (Some(a), None, Some(x)),
+            (None, Some(p), Some(x)),
+            (Some(a), Some(p), Some(x)),
+        ] {
+            let mut by_id: Vec<Triple> = Vec::new();
+            g.for_each_match_ids(s, pp, o, |s2, p2, o2| {
+                by_id.push(Triple::new(
+                    g.term_of(s2).clone(),
+                    g.term_of(p2).clone(),
+                    g.term_of(o2).clone(),
+                ));
+            });
+            let mut by_term = g.match_pattern(
+                s.map(|id| g.term_of(id)),
+                pp.map(|id| g.term_of(id)),
+                o.map(|id| g.term_of(id)),
+            );
+            by_id.sort();
+            by_term.sort();
+            assert_eq!(by_id, by_term);
         }
     }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use grdf_obs::{Counter, Obs, TraceId};
+use grdf_obs::{Counter, Histogram, Obs, TraceId};
 use grdf_owl::reasoner::{Edit, Maintenance, Reasoner, ReasonerStats};
 use grdf_query::eval::{execute_masked, QueryResult};
 use grdf_rdf::diagnostic::{LintReport, Severity};
@@ -44,8 +44,8 @@ use std::time::Duration;
 use crate::labels::LabelIr;
 use crate::policy::{Decision, DecisionTrace, Policy, PolicySet};
 use crate::resilience::{
-    AdmissionGate, Durability, EngineError, GsacsError, HealthReport, LatencyHistogram, LintGate,
-    ResilienceConfig, ResilientEngine, Stage,
+    AdmissionGate, Durability, EngineError, GsacsError, HealthReport, LintGate, ResilienceConfig,
+    ResilientEngine, Stage,
 };
 use crate::views::secure_view_explained;
 
@@ -471,14 +471,17 @@ pub struct AuditEntry {
     pub trace_id: TraceId,
 }
 
-/// Pre-resolved counter handles for the request hot path, so `handle`
+/// Pre-resolved metric handles for the request hot path, so `handle`
 /// pays one atomic add per event instead of a registry lookup
-/// (`RwLock` read + `BTreeMap` probe) per event.
+/// (`RwLock` read + `BTreeMap` probe) per event. [`GSacs::health`] reads
+/// its request count and latency quantiles from them.
 struct HotCounters {
     requests: Counter,
     errors: Counter,
     cache_hit: Counter,
     cache_miss: Counter,
+    /// Request wall time, µs.
+    wall_us: Histogram,
 }
 
 impl HotCounters {
@@ -489,6 +492,7 @@ impl HotCounters {
             errors: reg.counter("gsacs.errors"),
             cache_hit: reg.counter("gsacs.cache.hit"),
             cache_miss: reg.counter("gsacs.cache.miss"),
+            wall_us: reg.histogram("gsacs.wall_us"),
         }
     }
 }
@@ -527,8 +531,6 @@ pub struct GSacs {
     degraded: AtomicBool,
     config: ResilienceConfig,
     gate: AdmissionGate,
-    latency: LatencyHistogram,
-    requests: AtomicU64,
     query_cache: Mutex<QueryCache>,
     /// Security decision log (bounded ring buffer).
     audit: Mutex<AuditLog>,
@@ -633,8 +635,6 @@ impl GSacs {
             degraded: AtomicBool::new(false),
             config,
             gate,
-            latency: LatencyHistogram::default(),
-            requests: AtomicU64::new(0),
             query_cache: Mutex::new(QueryCache::new(cache_capacity)),
             audit,
             store,
@@ -1135,15 +1135,12 @@ impl GSacs {
         // thread-local window tee, so per-tenant attribution needs the
         // explicit window-only tee beside each of them.
         grdf_obs::win_add("gsacs.requests", 1);
-        self.requests.fetch_add(1, Ordering::Relaxed);
         let start = self.config.clock.now();
         let result = self.handle_inner(request, budget.tighter(self.config.request_budget));
         let wall = self.config.clock.now().saturating_sub(start);
-        self.latency.record(wall);
-        grdf_obs::win_observe(
-            "gsacs.wall_us",
-            u64::try_from(wall.as_micros()).unwrap_or(u64::MAX),
-        );
+        let wall_us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
+        self.hot.wall_us.record(wall_us);
+        grdf_obs::win_observe("gsacs.wall_us", wall_us);
         if result.is_err() {
             self.hot.errors.inc();
             grdf_obs::win_add("gsacs.errors", 1);
@@ -1252,7 +1249,11 @@ impl GSacs {
                 reason: format!("lint gate rejected service inputs: {m}"),
             };
         }
-        // Phase 1: check all ops.
+        // Phase 1: check all ops against the role's effective policy set
+        // (its own policies and every super-role's), as reads are.
+        let policies = self
+            .labels
+            .effective_policy_set(&self.policies, &request.role);
         for (i, op) in request.ops.iter().enumerate() {
             let (triple, action, action_name) = match op {
                 UpdateOp::Insert(t) => (t, Action::Edit, "update-insert"),
@@ -1260,8 +1261,7 @@ impl GSacs {
             };
             let pred = triple.predicate.as_iri().unwrap_or_default().to_string();
             let access =
-                self.policies
-                    .evaluate(&self.data, &request.role, &triple.subject, &pred, action);
+                policies.evaluate(&self.data, &request.role, &triple.subject, &pred, action);
             let allowed = access == Access::Granted;
             self.audit_push(AuditEntry {
                 role: request.role.clone(),
@@ -1511,7 +1511,7 @@ impl GSacs {
             breaker: self.engine.state(),
             breaker_trips: self.engine.trips(),
             degraded: self.is_degraded(),
-            requests: self.requests.load(Ordering::Relaxed),
+            requests: self.hot.requests.get(),
             shed: self.gate.shed_total(),
             in_flight: self.gate.in_flight(),
             cache_hits,
@@ -1520,8 +1520,8 @@ impl GSacs {
             view_cache_entries,
             audit_entries,
             audit_dropped,
-            p50: self.latency.quantile(0.5),
-            p99: self.latency.quantile(0.99),
+            p50: Duration::from_micros(self.hot.wall_us.quantile(0.5)),
+            p99: Duration::from_micros(self.hot.wall_us.quantile(0.99)),
             slo,
         }
     }

@@ -67,7 +67,7 @@ pub use labels::{CompiledPolicy, DesignatorIndex, Explanation, LabelIr, RoleHier
 pub use policy::{Action, Condition, Decision, DecisionTrace, Policy, PolicyMatch, PolicySet};
 pub use resilience::{
     AdmissionGate, BreakerConfig, BreakerState, Durability, EngineError, FaultInjector, FaultKind,
-    FaultPlan, FaultyEngine, GsacsError, HealthReport, LatencyHistogram, LintGate, NoFaults,
-    ResilienceConfig, ResilientEngine, RetryPolicy, Stage,
+    FaultPlan, FaultyEngine, GsacsError, HealthReport, LintGate, NoFaults, ResilienceConfig,
+    ResilientEngine, RetryPolicy, Stage,
 };
 pub use views::{secure_view, secure_view_explained, ViewStats};

@@ -14,8 +14,6 @@
 //!   half-open trial may close it again.
 //! * [`AdmissionGate`] — a bounded in-flight gate that sheds load with
 //!   [`GsacsError::Overloaded`] instead of queueing without bound.
-//! * [`LatencyHistogram`] — fixed log-bucket request latencies for the
-//!   p50/p99 figures in [`HealthReport`].
 //! * [`FaultPlan`] / [`FaultyEngine`] — a deterministic, seeded fault
 //!   injection harness: per pipeline [`Stage`] the plan decides
 //!   error/latency faults reproducibly, and latency is expressed through
@@ -539,51 +537,6 @@ pub struct Permit<'a> {
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
         self.gate.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency histogram
-// ---------------------------------------------------------------------------
-
-/// Fixed log₂-bucket latency histogram with lock-free recording, in
-/// microsecond units over [`grdf_obs::LogHistogram`].
-///
-/// Quantiles are interpolated within the bucket holding the target rank
-/// and clamped to the largest recorded sample. (The PR 1 version returned
-/// the bucket *upper* bound, overstating p50/p99 by up to 2×.)
-#[derive(Default)]
-pub struct LatencyHistogram {
-    core: grdf_obs::LogHistogram,
-}
-
-impl LatencyHistogram {
-    /// Record one request latency.
-    pub fn record(&self, latency: Duration) {
-        self.core
-            .record(latency.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Recorded samples.
-    pub fn count(&self) -> u64 {
-        self.core.count()
-    }
-
-    /// Approximate quantile (`0.0..=1.0`), interpolated within the log₂
-    /// bucket holding the target rank and clamped to the recorded
-    /// maximum; zero when empty.
-    pub fn quantile(&self, q: f64) -> Duration {
-        Duration::from_micros(self.core.quantile(q))
-    }
-}
-
-impl fmt::Debug for LatencyHistogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LatencyHistogram")
-            .field("count", &self.count())
-            .field("p50", &self.quantile(0.5))
-            .field("p99", &self.quantile(0.99))
-            .finish()
     }
 }
 
@@ -1320,42 +1273,6 @@ mod tests {
         assert_eq!(gate.shed_total(), 0);
         drop(permits);
         assert_eq!(gate.in_flight(), 0);
-    }
-
-    #[test]
-    fn histogram_quantiles_bracket_samples() {
-        let h = LatencyHistogram::default();
-        for _ in 0..99 {
-            h.record(Duration::from_micros(100));
-        }
-        h.record(Duration::from_millis(500));
-        assert_eq!(h.count(), 100);
-        assert!(h.quantile(0.5) <= Duration::from_micros(256));
-        assert!(h.quantile(0.99) >= Duration::from_micros(100));
-        assert!(h.quantile(1.0) >= Duration::from_millis(500));
-    }
-
-    /// Pin exact interpolated quantiles on a known distribution: the old
-    /// upper-bound quantile would report 1024 µs / 4096 µs here.
-    #[test]
-    fn histogram_quantiles_interpolate_within_bucket() {
-        let h = LatencyHistogram::default();
-        for _ in 0..50 {
-            h.record(Duration::from_millis(1)); // bucket [512, 1024)
-        }
-        for _ in 0..50 {
-            h.record(Duration::from_millis(4)); // bucket [2048, 4096)
-        }
-        // Rank 50 is the last of the 50 samples in [512, 1024): the
-        // interpolated estimate is the bucket upper bound, well under the
-        // old report's next-power-of-two for the 4 ms tail.
-        assert_eq!(h.quantile(0.5), Duration::from_micros(1024));
-        // Rank 99 → 49/50 through [2048, 4096): 2048 + 0.98·2048 ≈ 4055,
-        // clamped to the recorded maximum of 4000.
-        assert_eq!(h.quantile(0.99), Duration::from_millis(4));
-        assert_eq!(h.quantile(1.0), Duration::from_millis(4));
-        // Empty histogram stays at zero.
-        assert_eq!(LatencyHistogram::default().quantile(0.5), Duration::ZERO);
     }
 
     #[test]

@@ -152,6 +152,7 @@ proptest! {
     /// Under arbitrary injected faults the service never panics, never
     /// leaks beyond the fault-free view, audits every decision, and the
     /// breaker leaves the open state once faults stop and cooldown passes.
+    #[test]
     fn faulty_service_is_fail_closed(
         seed in any::<u64>(),
         error_rate in 0.0f64..0.4,
@@ -220,6 +221,7 @@ proptest! {
 
     /// Fault decisions are a pure function of the seed: two services built
     /// from the same seed answer every request identically.
+    #[test]
     fn same_seed_same_behavior(
         seed in any::<u64>(),
         picks in prop::collection::vec((0..3usize, 0..5usize), 1..12),
@@ -317,6 +319,7 @@ proptest! {
     /// maintained ends in the full rebuild or in degradation: after every
     /// update the served dataset is the fixpoint of the base, or the base
     /// itself while degraded.
+    #[test]
     fn faulty_delete_batches_end_rebuilt_or_degraded(
         seed in any::<u64>(),
         error_rate in 0.0f64..0.5,

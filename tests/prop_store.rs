@@ -145,6 +145,7 @@ proptest! {
     /// acknowledged) and run past the total write volume (no crash at
     /// all), so torn records, torn checkpoint tmp files, and crashes
     /// between rotation steps all occur along the way.
+    #[test]
     fn recovery_restores_exactly_the_acknowledged_prefix(
         batches in prop::collection::vec(
             prop::collection::vec((prop::bool::ANY, 0..6usize, 0..3usize, 0..4usize), 1..6),
@@ -163,6 +164,7 @@ proptest! {
     /// the byte budget range lands inside checkpoint writes and the
     /// multi-step rotation protocol (write → new segment → GC) rather
     /// than inside WAL appends.
+    #[test]
     fn recovery_survives_crashes_inside_checkpoint_rotation(
         batches in prop::collection::vec(
             prop::collection::vec((prop::bool::ANY, 0..6usize, 0..3usize, 0..4usize), 1..6),
@@ -179,6 +181,7 @@ proptest! {
     /// recovery must refuse outright — acknowledged history after the
     /// damage exists, so truncating would silently lose it, and decoding
     /// around it would fabricate state.
+    #[test]
     fn interior_bit_flips_fail_closed(
         flip_byte in 0usize..200,
         flip_bit in 0u8..8,

@@ -1,7 +1,9 @@
-//! SPARQL semantics the evaluator must keep whichever path a query takes:
-//! a FILTER constrains its whole group (SPARQL 1.1 §5.2.2), and the
+//! SPARQL semantics the evaluator must keep whichever pattern a query
+//! uses: a FILTER constrains its whole group (SPARQL 1.1 §5.2.2), the
 //! solution modifiers run in the order ORDER BY, projection, DISTINCT,
-//! OFFSET/LIMIT (§18.2.5).
+//! OFFSET/LIMIT (§18.2.5), a variable that OPTIONAL or UNION leaves
+//! unbound in a row is bound by a later pattern there and joined where
+//! bound, and property paths relate terms the graph never stored.
 
 use grdf::query::{execute, QueryResult};
 use grdf::rdf::turtle;
@@ -71,8 +73,8 @@ fn distinct_runs_before_offset() {
 
 #[test]
 fn projection_runs_before_distinct_on_every_path() {
-    // A BGP alone, and the same solutions through OPTIONAL (which the id
-    // pipeline does not take): both dedup on the projected tuple.
+    // A BGP alone, and the same solutions through OPTIONAL: both dedup
+    // on the projected tuple.
     let g = risks();
     for body in [
         "SELECT DISTINCT ?r WHERE { ?s app:risk ?r } ORDER BY ?r",
@@ -85,4 +87,101 @@ fn projection_runs_before_distinct_on_every_path() {
             "{body}"
         );
     }
+}
+
+fn rivers() -> Graph {
+    turtle::parse(
+        "@prefix e: <urn:e#> .
+         e:r1 e:flowsInto e:r2 . e:r2 e:flowsInto e:r3 . e:r3 e:flowsInto e:r1 .
+         e:r4 e:flowsInto e:r3 . e:r5 e:flowsInto e:r5 .
+         e:s1 a e:Site ; e:near e:r1 . e:s2 a e:Site .
+         e:r1 e:name \"North\" . e:r2 e:name \"South\" .",
+    )
+    .unwrap()
+}
+
+fn e(local: &str) -> Term {
+    Term::iri(&format!("urn:e#{local}"))
+}
+
+fn rivers_select(body: &str) -> QueryResult {
+    execute(&rivers(), &format!("PREFIX e: <urn:e#>\n{body}")).unwrap()
+}
+
+/// Each row's terms for `vars`, rows sorted.
+fn tuples(r: &QueryResult, vars: &[&str]) -> Vec<Vec<Term>> {
+    let mut rows: Vec<Vec<Term>> = r
+        .select_rows()
+        .iter()
+        .map(|b| vars.iter().map(|v| b[*v].clone()).collect())
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// `(s, x)` rows of local names, sorted.
+fn pairs(rows: &[(&str, &str)]) -> Vec<Vec<Term>> {
+    let mut rows: Vec<Vec<Term>> = rows.iter().map(|(s, x)| vec![e(s), e(x)]).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn a_zero_length_path_relates_a_term_the_graph_never_stored() {
+    for body in [
+        "SELECT ?x WHERE { e:nope e:flowsInto* ?x }",
+        "SELECT ?x WHERE { ?x e:flowsInto* e:nope }",
+    ] {
+        assert_eq!(column(&rivers_select(body), "x"), vec![e("nope")], "{body}");
+    }
+}
+
+#[test]
+fn a_variable_optional_leaves_unbound_is_bound_by_a_later_pattern() {
+    // s1's ?x is bound by the OPTIONAL and joins; s2's is not and binds.
+    let r =
+        rivers_select("SELECT ?s ?x WHERE { ?s a e:Site OPTIONAL { ?s e:near ?x } ?x e:name ?n }");
+    assert_eq!(
+        tuples(&r, &["s", "x"]),
+        pairs(&[("s1", "r1"), ("s2", "r1"), ("s2", "r2")])
+    );
+}
+
+#[test]
+fn union_branches_binding_different_variables_then_a_pattern() {
+    // The first branch leaves ?x unbound, so the pattern binds it; the
+    // second binds it, so the pattern joins.
+    let r =
+        rivers_select("SELECT ?s ?x WHERE { { ?s a e:Site } UNION { ?s e:near ?x } ?x e:name ?n }");
+    assert_eq!(
+        tuples(&r, &["s", "x"]),
+        pairs(&[
+            ("s1", "r1"),
+            ("s1", "r1"),
+            ("s1", "r2"),
+            ("s2", "r1"),
+            ("s2", "r2")
+        ])
+    );
+}
+
+#[test]
+fn select_star_lists_only_variables_some_row_binds() {
+    let r = rivers_select("SELECT * WHERE { ?s a e:Site OPTIONAL { ?s e:name ?z } }");
+    match r {
+        QueryResult::Select { vars, rows } => {
+            assert_eq!(vars, vec!["s"]);
+            assert_eq!(rows.len(), 2);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+#[test]
+fn a_path_from_a_variable_to_itself_finds_the_cycles() {
+    let r = rivers_select("SELECT ?x WHERE { ?x e:flowsInto+ ?x }");
+    assert_eq!(
+        sorted(column(&r, "x")),
+        vec![e("r1"), e("r2"), e("r3"), e("r5")]
+    );
 }

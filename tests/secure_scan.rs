@@ -22,15 +22,16 @@ use grdf::feature::{encode_feature, Feature};
 use grdf::geometry::primitives::Point;
 use grdf::obs::{Obs, WindowConfig};
 use grdf::query::execute;
-use grdf::rdf::term::Term;
+use grdf::rdf::term::{Term, Triple};
 use grdf::rdf::vocab::{grdf as ns, rdfs};
 use grdf::rdf::Graph;
 use grdf::runtime::{Clock, Deadline, ManualClock};
 use grdf::security::gsacs::{
-    ClientRequest, GSacs, OntoRepository, OwlHorstEngine, ReasoningEngine,
+    ClientRequest, GSacs, OntoRepository, OwlHorstEngine, ReasoningEngine, UpdateOp, UpdateOutcome,
+    UpdateRequest,
 };
 use grdf::security::labels::{LabelIr, RoleHierarchy};
-use grdf::security::policy::{Policy, PolicySet};
+use grdf::security::policy::{Action, Policy, PolicySet};
 use grdf::security::resilience::{EngineError, ResilienceConfig};
 use grdf::security::views::secure_view;
 use grdf::server::{build_request, well_formed_response, GrdfServer, ServerConfig};
@@ -192,6 +193,51 @@ fn degraded_service_serves_a_deny_bearing_sub_role_nothing() {
         );
     }
     server.shutdown();
+}
+
+/// `hierarchy_policies` as Edit policies: the trainee may edit ChemSites;
+/// its supervisor may edit streams and may not edit refineries.
+fn hierarchy_edit_policies() -> PolicySet {
+    let edit = |p: Policy| Policy {
+        action: Action::Edit,
+        ..p
+    };
+    PolicySet::new(
+        hierarchy_policies()
+            .policies
+            .into_iter()
+            .map(edit)
+            .collect(),
+    )
+}
+
+#[test]
+fn sub_role_writes_get_inherited_permits_and_denies() {
+    let mut svc = GSacs::new(
+        OntoRepository::new(),
+        hierarchy_edit_policies(),
+        Box::<OwlHorstEngine>::default(),
+        hierarchy_data(),
+        16,
+    );
+    let insert = |site: &str| UpdateRequest {
+        role: trainee(),
+        ops: vec![UpdateOp::Insert(Triple::new(
+            Term::iri(&ns::app(site)),
+            Term::iri(&ns::app("hasChemCode")),
+            Term::string("NEW-CODE"),
+        ))],
+    };
+    let outcome = svc.handle_update(&insert("refinery1"));
+    assert!(
+        matches!(outcome, UpdateOutcome::Denied { .. }),
+        "a super-role's deny must bind the sub-role's writes: {outcome:?}"
+    );
+    assert_eq!(
+        svc.handle_update(&insert("stream1")),
+        UpdateOutcome::Applied(1),
+        "a super-role's permit must extend to the sub-role's writes"
+    );
 }
 
 /// One ChemSite with a point geometry inside the unit window, readable by
