@@ -17,10 +17,14 @@
 //! 5. **Cardinality regression** — 10k distinct tenant ids over one
 //!    keep-alive connection cannot grow the registry or the windowed
 //!    store past the configured cap.
+//! 6. **Health from the registry** — `health()` reports the request
+//!    count and the wall-time quantiles of the registry's
+//!    `gsacs.requests` counter and `gsacs.wall_us` histogram, failed
+//!    requests included.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use grdf::feature::{encode_feature, Feature};
@@ -28,9 +32,9 @@ use grdf::obs::{Objective, Obs, SloEngine, SloState, TenantDim, WindowConfig};
 use grdf::rdf::vocab::grdf as ns;
 use grdf::rdf::Graph;
 use grdf::runtime::{system_clock, Clock, ManualClock};
-use grdf::security::gsacs::{GSacs, OntoRepository, OwlHorstEngine};
+use grdf::security::gsacs::{ClientRequest, GSacs, OntoRepository, OwlHorstEngine};
 use grdf::security::policy::{Action, Policy, PolicySet};
-use grdf::security::resilience::ResilienceConfig;
+use grdf::security::resilience::{FaultInjector, GsacsError, ResilienceConfig, Stage};
 use grdf::server::{GrdfServer, ServerConfig};
 use grdf::store::{MemBackend, StorageBackend, StoreConfig};
 
@@ -597,4 +601,83 @@ fn ten_thousand_tenant_ids_cannot_grow_the_registry_or_window_store() {
         ws.series_count()
     );
     server.shutdown();
+}
+
+/// Stalls each request at admission, on the injected clock, by the next
+/// of its durations: under a manual clock that is the request's whole
+/// wall time.
+struct Stalls(Mutex<Vec<Duration>>);
+
+impl FaultInjector for Stalls {
+    fn inject(&self, stage: Stage, clock: &dyn Clock) -> Result<(), GsacsError> {
+        if stage == Stage::Admission {
+            if let Some(d) = self.0.lock().unwrap().pop() {
+                clock.sleep(d);
+            }
+        }
+        Ok(())
+    }
+}
+
+fn emergency(query: String) -> ClientRequest {
+    ClientRequest {
+        role: ns::sec("Emergency"),
+        query,
+    }
+}
+
+#[test]
+fn health_reports_the_registrys_request_count_and_wall_time_quantiles() {
+    // 90 requests of 1 ms and 10 of 100 ms.
+    let mut stalls = vec![Duration::from_millis(1); 90];
+    stalls.extend([Duration::from_millis(100); 10]);
+    let svc = service(ResilienceConfig {
+        clock: Arc::new(ManualClock::new()),
+        fault_injector: Some(Arc::new(Stalls(Mutex::new(stalls)))),
+        ..ResilienceConfig::default()
+    });
+    for _ in 0..100 {
+        svc.handle(&emergency(select_query())).expect("served");
+    }
+    let health = svc.health();
+    let registry = svc.obs().registry();
+    let wall = registry.histogram("gsacs.wall_us");
+    assert_eq!(health.requests, 100);
+    assert_eq!(registry.counter("gsacs.requests").get(), 100);
+    assert_eq!(wall.count(), 100);
+    assert_eq!(wall.sum(), 90 * 1_000 + 10 * 100_000);
+    assert_eq!(health.p50, Duration::from_micros(wall.quantile(0.5)));
+    assert_eq!(health.p99, Duration::from_micros(wall.quantile(0.99)));
+    // Each quantile lies in the log2 bucket of the stall it measures:
+    // [512, 1024) us, and [65536, 131072) us clamped to the 100 ms max.
+    assert!((512..1_024).contains(&health.p50.as_micros()), "{health:?}");
+    assert!(
+        (65_536..=100_000).contains(&health.p99.as_micros()),
+        "{health:?}"
+    );
+    let json = health.to_json();
+    assert!(json.contains("\"requests\": 100"), "{json}");
+    assert!(
+        json.contains(&format!("\"p50_us\": {}", health.p50.as_micros())),
+        "{json}"
+    );
+    assert!(
+        json.contains(&format!("\"p99_us\": {}", health.p99.as_micros())),
+        "{json}"
+    );
+}
+
+#[test]
+fn health_counts_and_times_failed_requests_like_served_ones() {
+    let svc = service(ResilienceConfig::default());
+    for _ in 0..3 {
+        svc.handle(&emergency(select_query())).expect("served");
+    }
+    for _ in 0..2 {
+        assert!(svc.handle(&emergency("SELECT WHERE".to_string())).is_err());
+    }
+    let registry = svc.obs().registry();
+    assert_eq!(svc.health().requests, 5);
+    assert_eq!(registry.counter("gsacs.errors").get(), 2);
+    assert_eq!(registry.histogram("gsacs.wall_us").count(), 5);
 }

@@ -3,8 +3,11 @@
 //! identical to a plain `BTreeSet<Triple>` reference model under any
 //! interleaving of inserts, removes, and compactions — on every
 //! lint-corpus graph and on seeded random workloads, including compaction
-//! concurrent with iteration (copy-on-write snapshot isolation) and
-//! `delta_ids_since` generation snapshots that span compactions.
+//! concurrent with iteration (copy-on-write snapshot isolation),
+//! `delta_ids_since` generation snapshots that span compactions, and the
+//! id-space reads the query planner and merge join rely on: exact
+//! `estimate_ids` counts for every pattern shape and the zero-copy
+//! `pred_slices` columns.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -227,6 +230,20 @@ fn apply(ops: &[Op]) -> (Graph, Model) {
     (graph, model)
 }
 
+/// The model's triples as id tuples of `graph`.
+fn model_ids(graph: &Graph, model: &Model) -> Vec<(TermId, TermId, TermId)> {
+    let id = |t: &Term| {
+        graph
+            .term_id(t)
+            .expect("a live triple's terms are interned")
+    };
+    model
+        .set
+        .iter()
+        .map(|t| (id(&t.subject), id(&t.predicate), id(&t.object)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -307,5 +324,64 @@ proptest! {
         let rest: Vec<Triple> = iter.collect();
         let seen: BTreeSet<Triple> = half.into_iter().chain(rest).collect();
         prop_assert_eq!(seen, model.set.clone(), "snapshot iteration isolated from compaction");
+    }
+
+    /// `estimate_ids` is the planner's only statistic, so it must be the
+    /// exact match count for every shape of bound positions, probed with
+    /// the positions of live triples.
+    #[test]
+    fn id_estimates_count_every_pattern_shape_exactly(ops in arb_ops()) {
+        let (graph, model) = apply(&ops);
+        let live = model_ids(&graph, &model);
+        for &(s, p, o) in live.iter().take(32) {
+            for shape in 0..8u8 {
+                let pick = |bit: u8, id: TermId| (shape & bit != 0).then_some(id);
+                let (qs, qp, qo) = (pick(1, s), pick(2, p), pick(4, o));
+                let want = live
+                    .iter()
+                    .filter(|t| {
+                        qs.is_none_or(|x| x == t.0)
+                            && qp.is_none_or(|x| x == t.1)
+                            && qo.is_none_or(|x| x == t.2)
+                    })
+                    .count();
+                let mut scanned = 0;
+                graph.for_each_match_ids(qs, qp, qo, |_, _, _| scanned += 1);
+                prop_assert_eq!(graph.estimate_ids(qs, qp, qo), want, "shape {}", shape);
+                prop_assert_eq!(scanned, want, "shape {}", shape);
+            }
+        }
+        let mut by_predicate = graph.ids_by_predicate();
+        by_predicate.sort_unstable();
+        let mut want = live;
+        want.sort_unstable();
+        prop_assert_eq!(by_predicate, want, "ids_by_predicate holds the live set");
+    }
+
+    /// Where `pred_slices` offers a predicate's POS columns they hold
+    /// exactly its live triples, sorted by object then subject, and a
+    /// compacted graph offers them for every predicate.
+    #[test]
+    fn predicate_slices_hold_exactly_the_predicates_triples(ops in arb_ops()) {
+        let (mut graph, model) = apply(&ops);
+        for compacted in [false, true] {
+            if compacted {
+                graph.compact();
+            }
+            let live = model_ids(&graph, &model);
+            let predicates: BTreeSet<TermId> = live.iter().map(|t| t.1).collect();
+            for &p in &predicates {
+                let Some((objects, subjects)) = graph.pred_slices(p) else {
+                    prop_assert!(!compacted, "a compacted graph offers every slice");
+                    continue;
+                };
+                let got: Vec<(TermId, TermId)> =
+                    objects.iter().copied().zip(subjects.iter().copied()).collect();
+                let mut want: Vec<(TermId, TermId)> =
+                    live.iter().filter(|t| t.1 == p).map(|t| (t.2, t.0)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(got, want, "predicate {}", p);
+            }
+        }
     }
 }

@@ -5,6 +5,10 @@
 //!   what its super-role denies (a deny on a subclass of what its own
 //!   permit covers); with the reasoner down it is served nothing, because
 //!   an inherited deny cannot be evaluated without entailments;
+//! * **sub-role inheritance on writes** — inserts and deletes are checked
+//!   against the same effective policy set: an inherited deny refuses
+//!   them, an inherited permit admits them, no permit flows up from a
+//!   sub-role, and a batch with one refused op applies nothing;
 //! * **spatial FILTERs read only visible geometry** — a role whose permit
 //!   excludes `hasGeometry` and `isBoundedBy` gets no feature from a
 //!   `grdf:intersectsBox` window that covers it, while a role that sees
@@ -195,31 +199,40 @@ fn degraded_service_serves_a_deny_bearing_sub_role_nothing() {
     server.shutdown();
 }
 
-/// `hierarchy_policies` as Edit policies: the trainee may edit ChemSites;
-/// its supervisor may edit streams and may not edit refineries.
-fn hierarchy_edit_policies() -> PolicySet {
-    let edit = |p: Policy| Policy {
-        action: Action::Edit,
-        ..p
-    };
+/// `hierarchy_policies` for the write `action`: the trainee may write
+/// ChemSites; its supervisor may write streams and may not write
+/// refineries.
+fn hierarchy_write_policies(action: Action) -> PolicySet {
     PolicySet::new(
         hierarchy_policies()
             .policies
             .into_iter()
-            .map(edit)
+            .map(|p| Policy { action, ..p })
             .collect(),
+    )
+}
+
+fn write_service(action: Action) -> GSacs {
+    GSacs::new(
+        OntoRepository::new(),
+        hierarchy_write_policies(action),
+        Box::<OwlHorstEngine>::default(),
+        hierarchy_data(),
+        16,
+    )
+}
+
+fn chem_code(site: &str, code: &str) -> Triple {
+    Triple::new(
+        Term::iri(&ns::app(site)),
+        Term::iri(&ns::app("hasChemCode")),
+        Term::string(code),
     )
 }
 
 #[test]
 fn sub_role_writes_get_inherited_permits_and_denies() {
-    let mut svc = GSacs::new(
-        OntoRepository::new(),
-        hierarchy_edit_policies(),
-        Box::<OwlHorstEngine>::default(),
-        hierarchy_data(),
-        16,
-    );
+    let mut svc = write_service(Action::Edit);
     let insert = |site: &str| UpdateRequest {
         role: trainee(),
         ops: vec![UpdateOp::Insert(Triple::new(
@@ -238,6 +251,81 @@ fn sub_role_writes_get_inherited_permits_and_denies() {
         UpdateOutcome::Applied(1),
         "a super-role's permit must extend to the sub-role's writes"
     );
+}
+
+#[test]
+fn sub_role_deletes_get_inherited_permits_and_denies() {
+    let mut svc = write_service(Action::Delete);
+    let delete = |t: Triple| UpdateRequest {
+        role: trainee(),
+        ops: vec![UpdateOp::Delete(t)],
+    };
+    let secret = chem_code("refinery1", "SECRET-R");
+    let outcome = svc.handle_update(&delete(secret.clone()));
+    assert!(
+        matches!(outcome, UpdateOutcome::Denied { .. }),
+        "a super-role's deny must bind the sub-role's deletes: {outcome:?}"
+    );
+    assert!(svc.base_graph().contains(&secret));
+    let stream_id = Triple::new(
+        Term::iri(&ns::app("stream1")),
+        Term::iri(&ns::app("hasObjectID")),
+        Term::integer(7),
+    );
+    assert_eq!(
+        svc.handle_update(&delete(stream_id.clone())),
+        UpdateOutcome::Applied(1),
+        "a super-role's permit must extend to the sub-role's deletes"
+    );
+    assert!(!svc.base_graph().contains(&stream_id));
+}
+
+#[test]
+fn a_super_role_inherits_no_write_permit_from_its_sub_role() {
+    let mut svc = write_service(Action::Edit);
+    let insert = |role: String, site: &str| UpdateRequest {
+        role,
+        ops: vec![UpdateOp::Insert(chem_code(site, "NEW-CODE"))],
+    };
+    // The trainee's ChemSite permit does not flow up to the supervisor.
+    let outcome = svc.handle_update(&insert(ns::sec("Supervisor"), "site1"));
+    assert!(
+        matches!(outcome, UpdateOutcome::Denied { .. }),
+        "a sub-role's permit must not reach its super-role: {outcome:?}"
+    );
+    assert_eq!(
+        svc.handle_update(&insert(ns::sec("Supervisor"), "stream1")),
+        UpdateOutcome::Applied(1)
+    );
+    assert_eq!(
+        svc.handle_update(&insert(trainee(), "site1")),
+        UpdateOutcome::Applied(1)
+    );
+}
+
+#[test]
+fn a_write_batch_with_an_inherited_deny_applies_nothing() {
+    let mut svc = write_service(Action::Edit);
+    let permitted = chem_code("stream1", "NEW-CODE");
+    let request = UpdateRequest {
+        role: trainee(),
+        ops: vec![
+            UpdateOp::Insert(permitted.clone()),
+            UpdateOp::Insert(chem_code("refinery1", "NEW-CODE")),
+        ],
+    };
+    match svc.handle_update(&request) {
+        UpdateOutcome::Denied { op_index, .. } => assert_eq!(op_index, 2),
+        other => panic!("the refinery insert must be refused: {other:?}"),
+    }
+    assert!(
+        !svc.base_graph().contains(&permitted),
+        "a refused batch must apply none of its ops"
+    );
+    let denials = svc.audit_denials();
+    assert_eq!(denials.len(), 1);
+    assert_eq!(denials[0].role, trainee());
+    assert_eq!(denials[0].action, "update-insert");
 }
 
 /// One ChemSite with a point geometry inside the unit window, readable by
